@@ -7,7 +7,8 @@ codes: 0 success, 2 invalid input, 3 infeasible parameters, 4
 timeout-dominated scan.
 
 Config files are flat key-value text: one `key value` (or `key=value`)
-per line, # comments allowed.
+per line, # comments allowed.  A key the command does not read, a
+repeated key or a malformed value is invalid input.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     SpanembedError,
     UnsupportedSizeError,
 )
-from .graphs import complete_graph, disjoint_union, read_graph
+from .graphs import complete_graph, disjoint_union, parse_int, read_graph
 from .partition import clique_factor, equitable_coloring, format_partition
 from .pipeline import (
     RGAConfig,
@@ -62,10 +63,18 @@ EXIT_INFEASIBLE = 3
 EXIT_TIMEOUT_SCAN = 4
 
 
-def parse_config(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+PIPELINE_KEYS = ("delta", "d", "m", "r", "mu", "zeta", "theta", "C", "trials", "seed")
+SCAN_KEYS = ("n", "seed", "host", "pattern", "pgrid", "trials", "budget")
+
+
+def parse_config(path: str, keys: tuple[str, ...]) -> dict[str, tuple[int, str]]:
+    """Read a config file into ``{key: (line number, value)}``.
+
+    Keys outside ``keys`` and keys given twice are invalid input.
+    """
+    out: dict[str, tuple[int, str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -73,8 +82,30 @@ def parse_config(path: str) -> dict[str, str]:
                 key, _, val = line.partition("=")
             else:
                 key, _, val = line.partition(" ")
-            out[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in keys:
+                raise InvalidArgumentError(
+                    f"line {lineno}: unknown key {key!r}; expected one of {' '.join(keys)}")
+            if key in out:
+                raise InvalidArgumentError(
+                    f"line {lineno}: key {key!r} repeats line {out[key][0]}")
+            out[key] = (lineno, val.strip())
     return out
+
+
+def config_value(conf: dict[str, tuple[int, str]], key: str, convert, default=None):
+    """``convert`` applied to the value of ``key``, or ``default`` when it is absent."""
+    if key not in conf:
+        return default
+    lineno, raw = conf[key]
+    try:
+        return convert(raw)
+    except ValueError:
+        raise InvalidArgumentError(f"line {lineno}: bad value {raw!r} for {key}") from None
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split(","))
 
 
 def _open_out(path: str | None):
@@ -109,11 +140,14 @@ def cmd_embed_switch(args) -> int:
     mapping = {}
     if args.phi:
         with open(args.phi, "r", encoding="utf-8") as fh:
-            for raw in fh:
+            for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if line:
-                    x, v = line.split()
-                    mapping[int(x)] = int(v)
+                    parts = line.split()
+                    if len(parts) != 2:
+                        raise InvalidArgumentError(
+                            f"line {lineno}: expected 'x v', got {raw!r}")
+                    mapping[parse_int(parts[0], lineno)] = parse_int(parts[1], lineno)
     phi_s = PartialEmbedding.of(h, g, mapping)
     outcome = switching_embed(g, h, phi_s, args.seed)
     if not outcome.ok:
@@ -174,17 +208,17 @@ def _run_matching_event(inst, c, spec, trials, seed) -> SpreadEstimate:
 
 
 def cmd_pipeline(args) -> int:
-    cfgf = parse_config(args.config)
-    delta = int(cfgf.get("delta", 2))
-    d = float(cfgf.get("d", 0.5))
-    m = int(cfgf.get("m", 40))
-    r = int(cfgf.get("r", delta + 1))
-    mu = float(cfgf.get("mu", 0.25))
-    zeta = float(cfgf.get("zeta", 1.0))
-    theta = float(cfgf["theta"]) if "theta" in cfgf else None
-    c = int(cfgf.get("C", 8))
-    trials = int(cfgf.get("trials", 200))
-    seed = int(cfgf.get("seed", args.seed))
+    conf = parse_config(args.config, PIPELINE_KEYS)
+    delta = config_value(conf, "delta", int, 2)
+    d = config_value(conf, "d", float, 0.5)
+    m = config_value(conf, "m", int, 40)
+    r = config_value(conf, "r", int, delta + 1)
+    mu = config_value(conf, "mu", float, 0.25)
+    zeta = config_value(conf, "zeta", float, 1.0)
+    theta = config_value(conf, "theta", float)
+    c = config_value(conf, "C", int, 8)
+    trials = config_value(conf, "trials", int, 200)
+    seed = config_value(conf, "seed", int, args.seed)
     if r % (delta + 1):
         raise InvalidArgumentError(f"r = {r} must be a multiple of delta+1 = {delta + 1}")
     blocks = r // (delta + 1)
@@ -235,23 +269,26 @@ _PATTERNS = {
 
 
 def cmd_scan(args) -> int:
-    cfgf = parse_config(args.config)
-    n = int(cfgf.get("n", 20))
-    seed = int(cfgf.get("seed", args.seed))
-    host_name = cfgf.get("host", "complete")
+    conf = parse_config(args.config, SCAN_KEYS)
+    n = config_value(conf, "n", int, 20)
+    seed = config_value(conf, "seed", int, args.seed)
+    host_name = config_value(conf, "host", str, "complete")
     if host_name in _HOSTS:
         host = _HOSTS[host_name](n, seed)
     elif host_name.startswith("min-degree:"):
-        host = random_min_degree_host(n, int(host_name.split(":")[1]), seed)
+        min_degree = config_value(conf, "host", lambda v: int(v.split(":", 1)[1]))
+        host = random_min_degree_host(n, min_degree, seed)
     else:
         host = read_graph(host_name)
-    pattern_name = cfgf.get("pattern", "matching")
+    pattern_name = config_value(conf, "pattern", str, "matching")
     pattern = (_PATTERNS[pattern_name](host.n) if pattern_name in _PATTERNS
                else read_graph(pattern_name))
-    grid = tuple(float(tok) for tok in cfgf["pgrid"].split(","))
+    grid = config_value(conf, "pgrid", _float_list)
+    if grid is None:
+        raise InvalidArgumentError("scan config needs a pgrid line")
     scan = ThresholdScan(host, pattern, grid,
-                         trials=int(cfgf.get("trials", args.trials)),
-                         seed=seed, budget=int(cfgf.get("budget", 10_000_000)))
+                         trials=config_value(conf, "trials", int, args.trials),
+                         seed=seed, budget=config_value(conf, "budget", int, 10_000_000))
     rows = threshold_scan(scan)
     _emit_csv(args.out, SCAN_COLUMNS, [r.as_csv_row() for r in rows])
     if any(r.flag for r in rows):

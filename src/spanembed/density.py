@@ -10,20 +10,28 @@ components strictly lowers the ratio (the denominator loses one fewer
 than the sum of parts), and adding edges on a fixed vertex set never
 lowers it.  We therefore work per connected component, enumerating
 connected induced vertex sets exhaustively up to EXHAUSTIVE_LIMIT
-vertices, and switching to a guess-and-verify search above that: binary
-search over rational guesses g, with an exact min-cut test deciding
-whether some vertex set S has e(S) - g(|S|-1) > 0.
+vertices, and switching to Dinkelbach iteration above that: an exact
+min-cut test (Goldberg's edge-node network, solved with scipy's
+``maximum_flow``) decides whether some vertex set S has
+e(S) - g(|S|-1) > 0, and the density of the S it finds is the next
+guess g.  Guesses are attained ratios e/(v-1), so every capacity is at
+most 2nm + 1 for n vertices and m edges; scipy's capacities are int32
+and wrap silently, so larger components raise UnsupportedSizeError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor
 
-from .errors import InvalidArgumentError
+import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+
+from .errors import InvalidArgumentError, UnsupportedSizeError
 from .graphs import Graph, bits
 
 EXHAUSTIVE_LIMIT = 20
+_INT32_MAX = 2**31 - 1   # scipy's maximum_flow capacities are int32 and wrap silently
 
 
 def one_density(h: Graph) -> Fraction:
@@ -99,144 +107,59 @@ def _component_m1_exhaustive(g: Graph) -> tuple[int, int, int]:
 
 
 def _component_m1_flow(g: Graph) -> tuple[int, int, int]:
-    """m1 of a connected component via binary search with exact cut tests.
+    """Best (e, v-1, vertex mask) of a connected component by Dinkelbach iteration.
 
-    Any two candidate values e/(v-1) with v <= n have denominators at
-    most n-1, so distinct candidates differ by more than 1/(n-1)^2.
-    Bisect until the bracket is narrower than that, then the unique
-    small-denominator fraction in the bracket is the answer.
+    The first guess is the density of the whole component.  While the
+    cut test finds a set S with e(S) - g(|S|-1) > 0, the next guess is
+    e(S)/(|S|-1), which is strictly larger.  Every guess is an attained
+    ratio, so the loop ends at m1 after finitely many cuts, and the last
+    S found attains it.
     """
     n = g.n
     edges = g.sorted_edges()
-    gap = Fraction(1, (n - 1) * (n - 1))
-    lo = Fraction(1, 2)             # m1 >= 1 for any connected pair
-    hi = Fraction(g.max_degree() + 1, 2)
-    if hi <= lo:
-        hi = Fraction(1)
-    # invariant: m1 > lo (some set beats lo strictly), m1 <= hi
-    while hi - lo >= gap:
-        mid = (lo + hi) / 2
-        if _exists_denser_than(n, edges, mid)[0]:
-            lo = mid
-        else:
-            hi = mid
-    value = _simplest_between(lo, hi)
-    if value.denominator > n - 1:
-        raise AssertionError("bracket failed to isolate a candidate density")
-    # strict test just below the value recovers a maximizing vertex set
-    found, mask = _exists_denser_than(n, edges, value - gap / 2)
-    if not found:
-        raise AssertionError("no witness below the computed maximum density")
-    return value.numerator, value.denominator, mask
+    # guesses a/b have b <= n-1 and a <= m, so every capacity is at most 2nm + 1
+    if 2 * n * len(edges) + 1 > _INT32_MAX:
+        raise UnsupportedSizeError(
+            f"flow capacities for {n} vertices and {len(edges)} edges overflow int32")
+    mask = (1 << n) - 1
+    num, den = len(edges), n - 1
+    while True:
+        found = _denser_set(n, edges, Fraction(num, den))
+        if not found:
+            return num, den, mask
+        mask = found
+        num = sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
+        den = mask.bit_count() - 1
 
 
-def _exists_denser_than(n: int, edges: list[tuple[int, int]], g: Fraction) -> tuple[bool, int]:
-    """Exact test: is there S with e(S) - g(|S|-1) > 0?  Returns (found, mask).
+def _denser_set(n: int, edges: list[tuple[int, int]], g: Fraction) -> int:
+    """Exact test: the mask of a set S with e(S) - g(|S|-1) > 0, or 0 if none.
 
     For S containing an anchor w, b*e(S) - a*|S minus w| > 0 with g = a/b
-    is decided by a min cut in the usual edge-node network where w's sink
-    arc is free.  Adding the anchor to any S never lowers the objective,
-    so scanning anchors covers every candidate set.
+    is decided by a min cut in the usual edge-node network (source 0,
+    sink 1, vertex v at 2+v, edge j at 2+n+j) where w's sink arc is
+    free.  Adding the anchor to any S never lowers the objective, so
+    scanning anchors covers every candidate set.  The returned S is the
+    source side of the minimum cut: the nodes reachable from the source
+    over arcs with residual capacity left.
     """
     a, b = g.numerator, g.denominator
     m = len(edges)
-    order = sorted(range(n), key=lambda v: -sum(1 for e in edges if v in e))
-    for w in order:
-        flow = _DinicInt(2 + n + m)
-        inf = b * m + a * n + 1
-        for j, (u, v) in enumerate(edges):
-            enode = 2 + n + j
-            flow.add(0, enode, b)
-            flow.add(enode, 2 + u, inf)
-            flow.add(enode, 2 + v, inf)
-        for v in range(n):
-            if v != w:
-                flow.add(2 + v, 1, a)
-        if flow.max_flow(0, 1) < b * m:
-            side = flow.min_cut_source_side(0)
-            mask = 0
-            for v in range(n):
-                if 2 + v in side:
-                    mask |= 1 << v
-            return True, mask
-    return False, 0
-
-
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """Fraction with the smallest denominator in the closed interval [lo, hi]."""
-    if lo > hi:
-        raise InvalidArgumentError("empty interval")
-    fl = floor(lo)
-    if lo == fl:
-        return Fraction(fl)
-    if fl + 1 <= hi:
-        return Fraction(fl + 1)
-    inner = _simplest_between(1 / (hi - fl), 1 / (lo - fl))
-    return fl + 1 / inner
-
-
-class _DinicInt:
-    """Dinic max flow with integer capacities on a small static graph."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.head: list[list[int]] = [[] for _ in range(n)]
-
-    def add(self, u: int, v: int, c: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        q = [s]
-        for u in q:
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
-                    q.append(v)
-        return self.level[t] >= 0
-
-    def _dfs(self, u: int, t: int, pushed: int) -> int:
-        if u == t:
-            return pushed
-        while self.it[u] < len(self.head[u]):
-            eid = self.head[u][self.it[u]]
-            v = self.to[eid]
-            if self.cap[eid] > 0 and self.level[v] == self.level[u] + 1:
-                got = self._dfs(v, t, min(pushed, self.cap[eid]))
-                if got:
-                    self.cap[eid] -= got
-                    self.cap[eid ^ 1] += got
-                    return got
-            self.it[u] += 1
-        return 0
-
-    def max_flow(self, s: int, t: int) -> int:
-        total = 0
-        while self._bfs(s, t):
-            self.it = [0] * self.n
-            while True:
-                got = self._dfs(s, t, 1 << 62)
-                if not got:
-                    break
-                total += got
-        return total
-
-    def min_cut_source_side(self, s: int) -> set[int]:
-        side = {s}
-        q = [s]
-        for u in q:
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and v not in side:
-                    side.add(v)
-                    q.append(v)
-        return side
+    inf = b * m + a * n + 1
+    enodes = np.arange(2 + n, 2 + n + m)
+    ends = np.array(edges, dtype=np.int64).reshape(m, 2) + 2
+    rows = np.concatenate([np.zeros(m, np.int64), enodes, enodes, np.arange(2, 2 + n)])
+    cols = np.concatenate([enodes, ends[:, 0], ends[:, 1], np.ones(n, np.int64)])
+    caps = np.concatenate([np.full(m, b), np.full(2 * m, inf), np.full(n, a)])
+    net = csr_array((caps.astype(np.int32), (rows, cols)), shape=(2 + n + m, 2 + n + m))
+    degree = np.bincount(ends.ravel() - 2, minlength=n)
+    for w in sorted(range(n), key=lambda v: -degree[v]):
+        net.data[net.indptr[2 + w]] = 0     # a vertex row holds only its sink arc
+        res = maximum_flow(net, 0, 1)
+        if res.flow_value < b * m:
+            residual = net - res.flow
+            residual.eliminate_zeros()
+            side = breadth_first_order(residual, 0, return_predecessors=False)
+            return sum(1 << int(v - 2) for v in side if 2 <= v < 2 + n)
+        net.data[net.indptr[2 + w]] = a
+    return 0

@@ -227,6 +227,15 @@ def disjoint_union(*parts: Graph) -> Graph:
 # -- text format ------------------------------------------------------
 
 
+def parse_int(token: str, lineno: int) -> int:
+    """``int(token)``, reporting a malformed token as invalid input on its line."""
+    try:
+        return int(token)
+    except ValueError:
+        raise InvalidArgumentError(
+            f"line {lineno}: expected an integer, got {token!r}") from None
+
+
 def parse_graph(text: str) -> Graph:
     n = None
     edges = []
@@ -240,11 +249,11 @@ def parse_graph(text: str) -> Graph:
                 raise InvalidArgumentError(
                     f"line {lineno}: expected header 'n <count>', got {raw!r}"
                 )
-            n = int(parts[1])
+            n = parse_int(parts[1], lineno)
             continue
         if len(parts) != 2:
             raise InvalidArgumentError(f"line {lineno}: expected 'u v', got {raw!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append((parse_int(parts[0], lineno), parse_int(parts[1], lineno)))
     if n is None:
         raise InvalidArgumentError("missing 'n <count>' header")
     return Graph(n, edges)

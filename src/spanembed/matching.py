@@ -1,11 +1,14 @@
 """Bipartite maximum matching, Hall verdicts, and canonical matchings.
 
-Hopcroft-Karp decides Hall's condition on balanced bipartite graphs
-(perfect matching iff no deficient set); on deficiency the witness set
-comes out of the final alternating-reachability structure.  The
-canonical matching used by the samplers is a plain augmenting-path scan
-in vertex order, so it is a pure function of the edge set with no
-randomness of its own.
+One matcher serves both jobs: a plain augmenting-path scan in vertex
+order (Kuhn), a pure function of the edge set with no randomness of its
+own.  The samplers use its matching as the canonical one, and
+``hall_check`` uses its size to decide Hall's condition on balanced
+bipartite graphs (perfect matching iff no deficient set).  On
+deficiency the witness is the set of A-vertices reachable by
+alternating paths from unmatched A-vertices; that set is the same for
+every maximum matching (Dulmage-Mendelsohn), so it does not depend on
+which maximum matching the scan finds.
 """
 
 from __future__ import annotations
@@ -17,51 +20,6 @@ from typing import Iterable, Sequence
 from .errors import InvalidArgumentError
 
 UNMATCHED = -1
-
-
-def hopcroft_karp(n_left: int, n_right: int, adj: Sequence[Sequence[int]]) -> tuple[int, list[int], list[int]]:
-    """Maximum matching size plus pair arrays (left->right, right->left)."""
-    pair_l = [UNMATCHED] * n_left
-    pair_r = [UNMATCHED] * n_right
-    inf = float("inf")
-    dist = [0.0] * n_left
-
-    def bfs() -> bool:
-        q = deque()
-        for u in range(n_left):
-            if pair_l[u] == UNMATCHED:
-                dist[u] = 0
-                q.append(u)
-            else:
-                dist[u] = inf
-        found = False
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                w = pair_r[v]
-                if w == UNMATCHED:
-                    found = True
-                elif dist[w] == inf:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = pair_r[v]
-            if w == UNMATCHED or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_l[u] = v
-                pair_r[v] = u
-                return True
-        dist[u] = inf
-        return False
-
-    size = 0
-    while bfs():
-        for u in range(n_left):
-            if pair_l[u] == UNMATCHED and dfs(u):
-                size += 1
-    return size, pair_l, pair_r
 
 
 def kuhn_matching(n_left: int, n_right: int, adj: Sequence[Sequence[int]]) -> tuple[int, list[int], list[int]]:
@@ -119,7 +77,7 @@ def hall_check(a_side: Iterable[int], b_side: Iterable[int],
             raise InvalidArgumentError(f"edge ({a},{b}) does not join the two sides")
     for lst in adj:
         lst.sort()
-    size, pair_l, pair_r = hopcroft_karp(len(aa), len(bb), adj)
+    size, pair_l, pair_r = kuhn_matching(len(aa), len(bb), adj)
     if size == len(aa):
         return HallVerdict(True, None, size)
 

@@ -34,7 +34,12 @@ from .errors import (
 )
 from .graphs import Graph, bits
 from .partition import closed_second_neighborhood, distance_power_graph, equitable_coloring
-from .regularity import INCONCLUSIVE, RegPairParams, check_regular_pair
+from .regularity import (
+    INCONCLUSIVE,
+    RegPairParams,
+    check_regular_pair,
+    check_super_regular_pair,
+)
 from .seeds import check_seed, fresh_seed, np_rng, py_rng
 from .spread import FBInstance, FBParams, SpreadEstimate, sample_spread_matching
 from .switching import PartialEmbedding, switching_embed
@@ -48,7 +53,6 @@ class HostParams:
     eps: float
     d: float
     kappa: float
-    r1: int
 
 
 class PartitionedHost:
@@ -145,36 +149,18 @@ def generate_regular_host(r_graph: Graph, rprime: Graph, m: int, d: float,
 
         ok = True
         for i, j in sorted(r_graph.edges):
-            ca, cb = clusters[i], clusters[j]
-            if (i, j) in rprime.edges:
-                floor = (d - eps) * m
-                bad = _min_degree_violation(g, ca, cb, floor)
-                if bad is not None:
-                    ok, last_witness = False, bad
-                    break
-            verdict = check_regular_pair(g, ca, cb, params, mode="refute",
-                                         trials=refuter_trials, seed=fresh_seed(master))
+            check = check_super_regular_pair if (i, j) in rprime.edges else check_regular_pair
+            verdict = check(g, clusters[i], clusters[j], params, mode="refute",
+                            trials=refuter_trials, seed=fresh_seed(master))
             if verdict.kind != INCONCLUSIVE:
                 ok, last_witness = False, (verdict.witness_a, verdict.witness_b)
                 break
         if ok:
             return PartitionedHost(g, clusters, r_graph, rprime,
-                                   HostParams(eps, d, 1.0, r))
+                                   HostParams(eps, d, 1.0))
     raise GenerationFailedError(
         f"host verification failed in {max_attempts} attempts", witness=last_witness
     )
-
-
-def _min_degree_violation(g, ca, cb, floor):
-    mask_a = sum(1 << v for v in ca)
-    mask_b = sum(1 << v for v in cb)
-    for v in ca:
-        if (g.adj[v] & mask_b).bit_count() < floor:
-            return (v,)
-    for v in cb:
-        if (g.adj[v] & mask_a).bit_count() < floor:
-            return (v,)
-    return None
 
 
 # -- partitioned pattern -----------------------------------------------
@@ -431,16 +417,12 @@ class RGAConfig:
     mu: float = 0.25
     zeta: float = 1.0
     theta: float | None = None        # candidate floor fraction; default mu*zeta/10
-    order: str = "round-robin"
-    seed: int | None = None
 
     def __post_init__(self):
         if not 0 < self.mu < 1:
             raise InvalidArgumentError(f"mu must lie in (0,1), got {self.mu}")
         if not 0 < self.zeta <= 1:
             raise InvalidArgumentError(f"zeta must lie in (0,1], got {self.zeta}")
-        if self.order != "round-robin":
-            raise InvalidArgumentError(f"unknown order policy {self.order!r}")
 
     @property
     def floor_fraction(self) -> float:
@@ -689,11 +671,7 @@ def pushforward_edge_spread(host: PartitionedHost, pattern: PartitionedPattern,
                             s_edges: Iterable[tuple[int, int]],
                             trials: int, seed: int) -> SpreadEstimate:
     """Empirical P(S within the image edge set phi(E(H))) over pipeline draws."""
-    want = {tuple(sorted(e)) for e in s_edges}
-    for u, v in want:
-        if not host.g.has_edge(u, v):
-            # S outside E(G) can never be covered; still a legal query
-            pass
+    want = {tuple(sorted(e)) for e in s_edges}   # S outside E(G) is legal, never covered
     hits = 0
     successes = 0
     for i in range(trials):

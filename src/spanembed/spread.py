@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import InvalidArgumentError
+from .graphs import parse_int
 from .matching import UNMATCHED, hall_check, kuhn_matching
 from .seeds import fresh_seed, np_rng, py_rng
 from .tailbounds import confidence_radius
@@ -364,9 +365,11 @@ def parse_fb_instance(text: str, params: FBParams) -> FBInstance:
         if lam is None:
             if len(parts) != 2 or parts[0] != "bipartite":
                 raise InvalidArgumentError(f"line {lineno}: expected 'bipartite <lam>'")
-            lam = int(parts[1])
+            lam = parse_int(parts[1], lineno)
             continue
-        a, b = int(parts[0]), int(parts[1])
+        if len(parts) != 2:
+            raise InvalidArgumentError(f"line {lineno}: expected 'a b', got {raw!r}")
+        a, b = parse_int(parts[0], lineno), parse_int(parts[1], lineno)
         if not (0 <= a < lam <= b < 2 * lam):
             raise InvalidArgumentError(f"line {lineno}: edge ({a},{b}) violates side ranges")
         edges.append((a, b - lam))

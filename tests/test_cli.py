@@ -29,6 +29,15 @@ def test_m1_bad_file_is_exit_2(files, capsys):
     write, _ = files
     g = write("bad.txt", "not a graph\n")
     assert main(["m1", "--graph", g]) == 2
+    for name, text in [("n.txt", "n x\n"), ("edge.txt", "n 3\n0 a\n")]:
+        assert main(["m1", "--graph", write(name, text)]) == 2
+        assert "line" in capsys.readouterr().err
+    # malformed partial embeddings are bad input files too
+    k3 = write("k3.txt", format_graph(complete_graph(3)))
+    for text in ("0 x\n", "0 1 2\n"):
+        phi = write("phi.txt", text)
+        assert main(["embed-switch", k3, k3, "--phi", phi]) == 2
+        assert "line 1" in capsys.readouterr().err
 
 
 def test_embed_switch_subcommand(files, capsys):
@@ -120,3 +129,23 @@ def test_unknown_event_is_exit_2(files):
     path = write("inst.txt", format_fb_instance(inst))
     assert main(["spread-matching", "--instance", path,
                  "--event", "bogus"]) == 2
+    for text in ("bipartite x\n", "bipartite 2\n0 b\n", "bipartite 2\n0\n"):
+        bad = write("bad.txt", text)
+        assert main(["spread-matching", "--instance", bad]) == 2
+
+
+def test_bad_config_is_exit_2(files, capsys):
+    write, _ = files
+    scan = "host dirac-overlap\nn 16\npattern matching\npgrid 0.2,1.0\nseed 3\n"
+    pipe = "delta 2\nd 0.5\nm 20\nr 3\nmu 0.25\nC 5\ntrials 25\nseed 11\n"
+    for command, text, where in [
+        ("scan", scan + "trails 3\n", "line 6"),       # misspelt key, not ignored
+        ("scan", scan + "seed 4\n", "line 6"),         # repeated key
+        ("scan", scan.replace("0.2,1.0", "0.5,x"), "line 4"),
+        ("scan", scan.replace("n 16", "n sixteen"), "line 2"),
+        ("pipeline", pipe + "gamma 0.1\n", "line 9"),  # documented once, never read
+        ("pipeline", pipe.replace("m 20", "m 2o"), "line 3"),
+    ]:
+        cfg = write("bad.cfg", text)
+        assert main([command, "--config", cfg]) == 2, (command, text)
+        assert where in capsys.readouterr().err

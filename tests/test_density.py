@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,10 @@ from conftest import random_bounded_degree_graph, random_graph
 from spanembed.density import (
     _component_m1_exhaustive,
     _component_m1_flow,
-    _simplest_between,
     max_one_density,
     one_density,
 )
-from spanembed.errors import InvalidArgumentError
+from spanembed.errors import InvalidArgumentError, UnsupportedSizeError
 from spanembed.graphs import Graph, complete_graph, cycle_graph
 
 
@@ -123,8 +123,49 @@ def test_large_component_uses_flow_path():
     assert Fraction(w.num_edges(), w.n - 1) == value
 
 
-def test_simplest_between():
-    assert _simplest_between(Fraction(23, 16), Fraction(3, 2)) == Fraction(3, 2)
-    assert _simplest_between(Fraction(5, 4), Fraction(5, 4)) == Fraction(5, 4)
-    assert _simplest_between(Fraction(7, 5), Fraction(29, 20)) == Fraction(7, 5)
-    assert _simplest_between(Fraction(1, 3), Fraction(3, 4)) == Fraction(1, 2)
+def _clique(vertices):
+    return [(u, v) for u in vertices for v in vertices if u < v]
+
+
+# K5 on 0..4 with a 25-vertex path hanging off vertex 4: from 35/29 the
+# first cut already isolates the K5
+K5_TAIL = Graph(30, _clique(range(5)) + [(v, v + 1) for v in range(4, 29)])
+# K6 on 0..5, five K4s each hung off vertex 0 by one edge, and a 20-vertex
+# path tail: from 70/45 the first cut keeps the K4s (density 50/25), only
+# the second one isolates the K6
+K6_K4S_TAIL = Graph(46, _clique(range(6))
+                    + [e for k in range(5) for e in _clique(range(6 + 4 * k, 10 + 4 * k))]
+                    + [(0, 6 + 4 * k) for k in range(5)]
+                    + [(v, v + 1) for v in range(25, 45)])
+
+
+@pytest.mark.parametrize("g, value, found", [
+    (K5_TAIL, Fraction(5, 2), [0b11111]),
+    (K6_K4S_TAIL, Fraction(3), [(1 << 26) - 1, 0b111111]),
+])
+def test_flow_path_steps_to_the_densest_core(monkeypatch, g, value, found):
+    density = importlib.import_module("spanembed.density")
+    real, seen = density._denser_set, []
+
+    def recording(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(density, "_denser_set", recording)
+    num, den, mask = _component_m1_flow(g)
+    assert Fraction(num, den) == value
+    assert seen == found + [0]      # each improvement, then the failing cut
+    assert mask == found[-1]
+    witness = tuple(v for v in range(g.n) if mask >> v & 1)
+    assert max_one_density(g) == (value, witness)
+
+
+def test_flow_path_refuses_capacities_past_int32(monkeypatch):
+    # scipy's maximum_flow wraps int32 capacities silently; the bound
+    # 2nm + 1 is checked before any flow is run
+    density = importlib.import_module("spanembed.density")
+    monkeypatch.setattr(density, "_INT32_MAX", 2 * 25 * 25)
+    with pytest.raises(UnsupportedSizeError):
+        _component_m1_flow(cycle_graph(25))
+    monkeypatch.setattr(density, "_INT32_MAX", 2 * 25 * 25 + 1)
+    assert _component_m1_flow(cycle_graph(25))[:2] == (25, 24)

@@ -1,11 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from conftest import random_bipartite_adj
 from spanembed.errors import InvalidArgumentError
-from spanembed.matching import hall_check, hopcroft_karp, kuhn_matching
+from spanembed.matching import hall_check, kuhn_matching
 
 
 def permanent_positive(adj, n):
@@ -50,13 +53,18 @@ def test_hall_requires_balance():
         hall_check(range(3), range(3, 5), [])
 
 
-def test_kuhn_equals_hopcroft_karp_size():
+def test_kuhn_size_equals_scipy_maximum_matching():
+    # scipy's Hopcroft-Karp serves only as an independent reference here
     for seed in range(20):
         na = random.Random(seed).randint(3, 12)
         adj = random_bipartite_adj(na, na, 0.4, seed)
-        s1, _, _ = kuhn_matching(na, na, adj)
-        s2, _, _ = hopcroft_karp(na, na, adj)
-        assert s1 == s2
+        size, pair_l, _ = kuhn_matching(na, na, adj)
+        rows = [u for u in range(na) for _ in adj[u]]
+        cols = [v for u in range(na) for v in adj[u]]
+        biadj = csr_array((np.ones(len(rows)), (rows, cols)), shape=(na, na))
+        ref = maximum_bipartite_matching(biadj, perm_type="column")
+        assert size == int((ref >= 0).sum())
+        assert all(pair_l[u] == -1 or pair_l[u] in adj[u] for u in range(na))
 
 
 def test_kuhn_is_deterministic_function_of_edges():

@@ -125,7 +125,7 @@ def test_rga_fails_fast_on_empty_needed_pair():
     # manual host with an R-edge whose pair has no host edges at all
     g = Graph(20, [])
     host = PartitionedHost(g, [range(10), range(10, 20)], K2, K2,
-                           HostParams(eps=0.5, d=0.5, kappa=1.0, r1=2))
+                           HostParams(eps=0.5, d=0.5, kappa=1.0))
     h = perfect_matching_pattern(20)
     parts = [tuple(range(0, 20, 2)), tuple(range(1, 20, 2))]
     buffers = [parts[0][:3], parts[1][:3]]

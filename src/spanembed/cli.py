@@ -48,10 +48,13 @@ from .robustness import (
     threshold_scan,
     unbalanced_multipartite_host,
 )
+from .seeds import child_seed, count_trials
 from .spread import (
     FBParams,
     SpreadEstimate,
     canonical_matching,
+    default_coupling_constant,
+    estimate_matching_spread,
     parse_fb_instance,
     sample_coupled,
 )
@@ -179,7 +182,7 @@ def cmd_spread_matching(args) -> int:
     params = FBParams(d=args.d, b=args.b, rho=args.rho, mu=args.mu, delta=args.delta)
     with open(args.instance, "r", encoding="utf-8") as fh:
         inst = parse_fb_instance(fh.read(), params)
-    c = args.c if args.c else max(1, min(inst.lam, int(-(-8.0 / (args.d ** args.b) // 1))))
+    c = args.c if args.c else default_coupling_constant(inst)
     rows = []
     for spec in args.event:
         est = _run_matching_event(inst, c, spec, args.trials, args.seed)
@@ -191,18 +194,23 @@ def cmd_spread_matching(args) -> int:
 
 def _run_matching_event(inst, c, spec, trials, seed) -> SpreadEstimate:
     if spec == "hall-fail":
-        hits = 0
-        for i in range(trials):
-            sample = sample_coupled(inst, c, seed ^ i)
-            size, _ = canonical_matching(inst.lam, sample.z)
-            hits += size < inst.lam
+        _, (hits,) = count_trials(
+            lambda trial_seed: sample_coupled(inst, c, trial_seed).z,
+            [lambda z: canonical_matching(inst.lam, z)[0] < inst.lam], trials, seed)
         return SpreadEstimate("hall-fail", trials, hits)
     if spec.startswith("contains:"):
         edges = []
         for token in spec.split(":", 1)[1].split(","):
-            a, b = token.split("-")
-            edges.append((int(a), int(b)))
-        from .spread import estimate_matching_spread
+            a, _, b = token.partition("-")
+            try:
+                edge = (int(a), int(b))
+            except ValueError:
+                raise InvalidArgumentError(
+                    f"bad edge {token!r} in {spec!r}; expected a-b") from None
+            if not all(0 <= end < inst.lam for end in edge):
+                raise InvalidArgumentError(
+                    f"edge {token!r} in {spec!r}: both ends are side indices in [0, {inst.lam})")
+            edges.append(edge)
         return estimate_matching_spread(inst, c, edges, trials, seed)
     raise InvalidArgumentError(f"unknown event spec {spec!r}; use hall-fail or contains:a-b[,..]")
 
@@ -219,17 +227,20 @@ def cmd_pipeline(args) -> int:
     c = config_value(conf, "C", int, 8)
     trials = config_value(conf, "trials", int, 200)
     seed = config_value(conf, "seed", int, args.seed)
+    for key, value, low in (("delta", delta, 0), ("r", r, 1), ("trials", trials, 1)):
+        if value < low:
+            raise InvalidArgumentError(f"line {conf[key][0]}: {key} = {value} must be >= {low}")
     if r % (delta + 1):
         raise InvalidArgumentError(f"r = {r} must be a multiple of delta+1 = {delta + 1}")
     blocks = r // (delta + 1)
     rgraph = disjoint_union(*[complete_graph(delta + 1) for _ in range(blocks)])
     host = generate_regular_host(rgraph, rgraph, m, d, seed)
     pattern = partition_pattern(clique_factor_pattern(r * m, delta + 1), host, None,
-                                alpha=mu, seed=seed ^ 1)
+                                alpha=mu, seed=child_seed(seed, 1))
     cfg = RGAConfig(mu=mu, zeta=zeta, theta=theta)
     rows = []
     for t in range(trials):
-        trial = run_pipeline_once(host, pattern, cfg, c, seed ^ t)
+        trial = run_pipeline_once(host, pattern, cfg, c, child_seed(seed, t))
         rows.append([t, int(trial.ok), trial.fail_stage,
                      min(trial.rga_sizes) if trial.rga_sizes else 0])
     _emit_csv(args.out, ["trial", "ok", "fail_stage", "min_candidate"], rows)
@@ -243,7 +254,7 @@ def cmd_pipeline(args) -> int:
         probes.append((xs[j % len(xs)], vs[(j * 7) % len(vs)]))
     probes = sorted(set(probes))
     report = estimate_vertex_spread(host, pattern, cfg, c, probes,
-                                    max(1000, trials), seed ^ 0xFEED)
+                                    max(1000, trials), child_seed(seed, 0xFEED))
     agg = [[x, v, report.successes, e.hits, f"{e.estimate:.6f}", f"{e.radius:.6f}"]
            for (x, v), e in zip(report.probes, report.estimates)]
     agg.append(["max", "", report.successes, "",
@@ -385,7 +396,8 @@ def main(argv=None) -> int:
         if args.command == "spread-matching" and not args.event:
             args.event = ["hall-fail"]
         return args.func(args)
-    except (InvalidArgumentError, UnsupportedSizeError, FileNotFoundError, KeyError) as exc:
+    except (InvalidArgumentError, UnsupportedSizeError, OSError, UnicodeDecodeError,
+            KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (InfeasibleParametersError, GenerationFailedError,

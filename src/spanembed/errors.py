@@ -18,7 +18,7 @@ class InfeasibleParametersError(SpanembedError):
 
 
 class UnsupportedSizeError(SpanembedError):
-    """Exact mode requested on an instance too large to enumerate."""
+    """An instance exceeds what an exact routine can handle (enumeration, int32, recursion)."""
 
 
 class GenerationFailedError(SpanembedError):

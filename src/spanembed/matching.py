@@ -17,13 +17,17 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, UnsupportedSizeError
 
 UNMATCHED = -1
 
 
 def kuhn_matching(n_left: int, n_right: int, adj: Sequence[Sequence[int]]) -> tuple[int, list[int], list[int]]:
-    """Deterministic augmenting-path matching, vertices processed in index order."""
+    """Deterministic augmenting-path matching, vertices processed in index order.
+
+    The search recurses once per augmenting-path step, so a path longer
+    than the interpreter's recursion limit raises UnsupportedSizeError.
+    """
     pair_l = [UNMATCHED] * n_left
     pair_r = [UNMATCHED] * n_right
 
@@ -39,9 +43,13 @@ def kuhn_matching(n_left: int, n_right: int, adj: Sequence[Sequence[int]]) -> tu
         return False
 
     size = 0
-    for u in range(n_left):
-        if try_augment(u, [False] * n_right):
-            size += 1
+    try:
+        for u in range(n_left):
+            if try_augment(u, [False] * n_right):
+                size += 1
+    except RecursionError:
+        raise UnsupportedSizeError(f"an augmenting path on {n_left} x {n_right} sides "
+                                   "is deeper than the recursion limit") from None
     return size, pair_l, pair_r
 
 

@@ -40,7 +40,7 @@ from .regularity import (
     check_regular_pair,
     check_super_regular_pair,
 )
-from .seeds import check_seed, fresh_seed, np_rng, py_rng
+from .seeds import check_seed, count_trials, fresh_seed, np_rng, py_rng
 from .spread import FBInstance, FBParams, SpreadEstimate, sample_spread_matching
 from .switching import PartialEmbedding, switching_embed
 
@@ -648,16 +648,9 @@ def estimate_vertex_spread(host: PartitionedHost, pattern: PartitionedPattern,
     """
     if trials < 1000:
         raise InvalidArgumentError(f"need at least 1000 trials, got {trials}")
-    hits = [0] * len(probes)
-    successes = 0
-    for i in range(trials):
-        trial = run_pipeline_once(host, pattern, cfg, c, seed ^ i)
-        if not trial.ok:
-            continue
-        successes += 1
-        for k, (x, v) in enumerate(probes):
-            if trial.phi[x] == v:
-                hits[k] += 1
+    successes, hits = count_trials(
+        lambda trial_seed: run_pipeline_once(host, pattern, cfg, c, trial_seed).phi,
+        [lambda phi, x=x, v=v: phi[x] == v for x, v in probes], trials, seed)
     if successes < min_success_rate * trials:
         raise EstimateUnreliableError(
             f"only {successes}/{trials} pipeline successes; estimates unreliable")
@@ -672,18 +665,9 @@ def pushforward_edge_spread(host: PartitionedHost, pattern: PartitionedPattern,
                             trials: int, seed: int) -> SpreadEstimate:
     """Empirical P(S within the image edge set phi(E(H))) over pipeline draws."""
     want = {tuple(sorted(e)) for e in s_edges}   # S outside E(G) is legal, never covered
-    hits = 0
-    successes = 0
-    for i in range(trials):
-        trial = run_pipeline_once(host, pattern, cfg, c, seed ^ i)
-        if not trial.ok:
-            continue
-        successes += 1
-        if want:
-            image = {tuple(sorted((trial.phi[x], trial.phi[y]))) for x, y in pattern.h.edges}
-            if want <= image:
-                hits += 1
-        else:
-            hits += 1
+    successes, (hits,) = count_trials(
+        lambda trial_seed: run_pipeline_once(host, pattern, cfg, c, trial_seed).phi,
+        [lambda phi: want <= {tuple(sorted((phi[x], phi[y]))) for x, y in pattern.h.edges}],
+        trials, seed)
     label = f"edges[{','.join(f'{u}-{v}' for u, v in sorted(want))}]"
     return SpreadEstimate(label, successes, hits)

@@ -291,6 +291,8 @@ class ThresholdScan:
             raise InvalidArgumentError("p values must lie in (0,1]")
         if any(b >= a for a, b in zip(self.p_grid[1:], self.p_grid)):
             raise InvalidArgumentError("p-grid must be strictly increasing")
+        if self.trials < 1:
+            raise InvalidArgumentError(f"trials must be >= 1, got {self.trials}")
 
 
 @dataclass(frozen=True)

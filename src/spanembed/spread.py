@@ -28,7 +28,7 @@ from typing import Callable, Iterable
 from .errors import InvalidArgumentError
 from .graphs import parse_int
 from .matching import UNMATCHED, hall_check, kuhn_matching
-from .seeds import fresh_seed, np_rng, py_rng
+from .seeds import count_trials, fresh_seed, np_rng, py_rng
 from .tailbounds import confidence_radius
 
 FB3_EXACT_LIMIT = 14
@@ -305,15 +305,9 @@ def estimate_matching_spread(f: FBInstance, c: int, s_edges: Iterable[BipEdge],
     b_ends = [b for _, b in s]
     if len(set(a_ends)) != len(s) or len(set(b_ends)) != len(s):
         return SpreadEstimate(label, trials, 0)
-    done = 0
-    hits = 0
-    for i in range(trials):
-        draw = sample_spread_matching(f, c, max_resamples, seed ^ i)
-        if not draw.ok:
-            continue
-        done += 1
-        if s <= draw.matching:
-            hits += 1
+    done, (hits,) = count_trials(
+        lambda trial_seed: sample_spread_matching(f, c, max_resamples, trial_seed).matching,
+        [s.issubset], trials, seed)
     return SpreadEstimate(label, done, hits)
 
 
@@ -336,12 +330,9 @@ def verify_coupling_monotone(f: FBInstance, c: int,
     the same draws; the violation flag fires only beyond the combined
     99% radii.
     """
-    hz = h1 = h2 = 0
-    for i in range(trials):
-        sample = sample_coupled(f, c, seed ^ i)
-        hz += bool(event(sample.z))
-        h1 += bool(event(sample.z1))
-        h2 += bool(event(sample.z2))
+    _, (hz, h1, h2) = count_trials(
+        lambda trial_seed: sample_coupled(f, c, trial_seed),
+        [lambda cs: event(cs.z), lambda cs: event(cs.z1), lambda cs: event(cs.z2)], trials, seed)
     ez = SpreadEstimate(f"{label}|Z", trials, hz)
     e1 = SpreadEstimate(f"{label}|Z1", trials, h1)
     e2 = SpreadEstimate(f"{label}|Z2", trials, h2)

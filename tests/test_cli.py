@@ -1,7 +1,12 @@
+import contextlib
 import csv
 import io
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanembed.cli import main
 from spanembed.graphs import Graph, complete_graph, cycle_graph, format_graph
@@ -32,6 +37,11 @@ def test_m1_bad_file_is_exit_2(files, capsys):
     for name, text in [("n.txt", "n x\n"), ("edge.txt", "n 3\n0 a\n")]:
         assert main(["m1", "--graph", write(name, text)]) == 2
         assert "line" in capsys.readouterr().err
+    # a directory or a file that is not text is not a graph either
+    _, tmp = files
+    (tmp / "bin.txt").write_bytes(b"n 3\n\xff\xfe\n")
+    for path in (str(tmp), str(tmp / "bin.txt")):
+        assert main(["m1", "--graph", path]) == 2
     # malformed partial embeddings are bad input files too
     k3 = write("k3.txt", format_graph(complete_graph(3)))
     for text in ("0 x\n", "0 1 2\n"):
@@ -127,8 +137,12 @@ def test_unknown_event_is_exit_2(files):
     params = FBParams(d=0.8, b=1, rho=0.1, mu=0.25, delta=2)
     inst = FBInstance(4, [(a, b) for a in range(4) for b in range(4)], params)
     path = write("inst.txt", format_fb_instance(inst))
-    assert main(["spread-matching", "--instance", path,
-                 "--event", "bogus"]) == 2
+    for spec in ("bogus", "contains:0-x", "contains:0", "contains:", "contains:0-1-2",
+                 "contains:0-4", "contains:4-0", "contains:0--1"):
+        assert main(["spread-matching", "--instance", path, "--event", spec]) == 2, spec
+    # both ends are side indices in [0, lam), not file labels
+    assert main(["spread-matching", "--instance", path, "--trials", "20",
+                 "--event", "contains:0-3,3-0"]) == 0
     for text in ("bipartite x\n", "bipartite 2\n0 b\n", "bipartite 2\n0\n"):
         bad = write("bad.txt", text)
         assert main(["spread-matching", "--instance", bad]) == 2
@@ -145,7 +159,139 @@ def test_bad_config_is_exit_2(files, capsys):
         ("scan", scan.replace("n 16", "n sixteen"), "line 2"),
         ("pipeline", pipe + "gamma 0.1\n", "line 9"),  # documented once, never read
         ("pipeline", pipe.replace("m 20", "m 2o"), "line 3"),
+        ("pipeline", pipe.replace("r 3", "r 0"), "line 4"),
+        ("pipeline", pipe.replace("r 3", "r -3"), "line 4"),
+        ("pipeline", pipe.replace("delta 2", "delta -1"), "line 1"),
+        ("pipeline", pipe.replace("trials 25", "trials -3"), "line 7"),
+        ("scan", scan + "trials -3\n", "trials must be >= 1"),
     ]:
         cfg = write("bad.cfg", text)
         assert main([command, "--config", cfg]) == 2, (command, text)
         assert where in capsys.readouterr().err
+
+
+def test_spread_matching_too_deep_chain_is_exit_2(files, capsys):
+    # a_i-b_i, a_i-b_{i+1}, a_last-b_0: Z keeps the chain and the matcher recurses along it
+    write, _ = files
+    n = 1500
+    lines = [f"bipartite {n}"] + [f"{a} {n + b}" for a in range(n)
+                                  for b in ((a, a + 1) if a < n - 1 else (0, a))]
+    path = write("chain.txt", "\n".join(lines) + "\n")
+    assert main(["spread-matching", "--instance", path, "--trials", "1"]) == 2
+    assert "1500 x 1500" in capsys.readouterr().err
+
+
+# -- fuzz: random files and arguments map onto the documented exit codes --
+
+SMALL = st.integers(-30, 30)      # every number drawn below lies in [-30, 30]
+
+
+def num(lo, hi):
+    """Mostly a plausible value in [lo, hi], otherwise anything small."""
+    return st.one_of(st.integers(lo, hi), st.integers(lo, hi), SMALL).map(str)
+
+
+WORDS = st.sampled_from(["n", "x", "bipartite", "0.5", "-", "1-2", "=", "#", ""])
+RAW_TEXT = st.lists(st.lists(st.one_of(SMALL.map(str), WORDS), max_size=3).map(" ".join),
+                    max_size=8).map("\n".join)
+
+
+@st.composite
+def graph_text(draw, n=st.integers(0, 12)):
+    n = draw(n)
+    if draw(st.booleans()):
+        edges = draw(st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=3))
+    else:
+        edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1]), max_size=3 * n)) if n > 1 else []
+    return "\n".join([f"n {n}"] + [f"{u} {v}" for u, v in edges]) + "\n"
+
+
+@st.composite
+def instance_text(draw):
+    lam = draw(st.integers(0, 8))
+    side_a = st.integers(0, max(lam - 1, 0))
+    side_b = st.integers(lam, max(2 * lam - 1, lam))
+    edges = draw(st.lists(st.tuples(side_a, side_b), max_size=lam * lam))
+    if draw(st.booleans()):    # often dense enough for a perfect matching
+        edges += [(a, lam + b) for a in range(lam) for b in (a, (a + 1) % lam)]
+    return "\n".join([f"bipartite {lam}"] + [f"{a} {b}" for a, b in edges]) + "\n"
+
+
+GRAPHS = st.one_of(graph_text(), graph_text(), RAW_TEXT)
+EDGE_SPEC = st.one_of(st.tuples(num(0, 8), num(0, 8)).map("-".join), WORDS)
+EVENTS = st.one_of(st.sampled_from(["hall-fail", "bogus"]),
+                   st.lists(EDGE_SPEC, max_size=3).map(lambda t: "contains:" + ",".join(t)))
+
+
+@st.composite
+def scan_config(draw):
+    values = {
+        "n": num(2, 12),
+        "seed": num(0, 30),
+        "host": st.one_of(st.sampled_from(["dirac-overlap", "unbalanced-multipartite",
+                                           "complete", "@h", ".", "missing"]),
+                          num(0, 12).map(lambda k: f"min-degree:{k}")),
+        "pattern": st.sampled_from(["matching", "triangle-factor", "mixture", "@p", "x"]),
+        "pgrid": st.lists(st.one_of(st.sampled_from(["0.2", "0.5", "1.0", "x"]), SMALL.map(str)),
+                          min_size=1, max_size=4).map(",".join),
+        "trials": num(1, 5),
+    }
+    keys = draw(st.lists(st.sampled_from(sorted(values)), unique=True))
+    if draw(st.integers(0, 9)):
+        keys = sorted(set(keys) | {"n", "pgrid"})
+    lines = [f"{key} {draw(values[key])}" for key in keys]
+    if draw(st.integers(0, 9)) == 7:
+        lines.append("trails 3")
+    lines.append(f"budget {draw(num(1, 30))}")   # always set: the default allows a long search
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@st.composite
+def cli_case(draw):
+    """(argv, files); an @ in either stands for the directory the files are written to."""
+    kind = draw(st.sampled_from(["m1", "embed-switch", "equitable", "clique-factor",
+                                 "spread-matching", "scan"]))
+    files = {"h": draw(GRAPHS)}
+    seed = ["--seed", draw(num(0, 30))]
+    if kind == "m1":
+        argv = ["m1", "--graph", "@h"]
+    elif kind == "embed-switch":
+        if draw(st.integers(0, 3)):   # mostly the equal orders the embedder needs
+            n = draw(st.integers(0, 12))
+            files["h"] = draw(graph_text(st.just(n)))
+            files["p"] = draw(graph_text(st.just(n)))
+        else:
+            files["p"] = draw(GRAPHS)
+        argv = ["embed-switch", "@h", "@p", *seed]
+        if draw(st.booleans()):
+            pairs = st.lists(st.tuples(num(0, 12), num(0, 12)).map(" ".join), max_size=3)
+            files["phi"] = draw(st.one_of(pairs.map("\n".join), RAW_TEXT))
+            argv += ["--phi", "@phi"]
+    elif kind in ("equitable", "clique-factor"):
+        argv = [kind, "--graph", "@h", draw(num(1, 6))]
+    elif kind == "spread-matching":
+        files["f"] = draw(st.one_of(instance_text(), instance_text(), RAW_TEXT))
+        argv = ["spread-matching", "--instance", "@f", "--trials", draw(num(1, 30)),
+                "--c", draw(num(0, 4)), *seed]
+        for spec in draw(st.lists(EVENTS, max_size=2)):
+            argv += ["--event", spec]
+    else:
+        files["p"] = draw(GRAPHS)
+        files["cfg"] = draw(scan_config())
+        argv = ["scan", "--config", "@cfg", "--trials", draw(num(1, 5))]
+    return argv, files
+
+
+@settings(max_examples=1000)
+@given(cli_case())
+def test_cli_fuzz_exit_codes(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text.replace("@", tmp + os.sep))
+        argv = [a.replace("@", tmp + os.sep) for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 2, 3, 4), argv

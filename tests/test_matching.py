@@ -7,7 +7,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from conftest import random_bipartite_adj
-from spanembed.errors import InvalidArgumentError
+from spanembed.errors import InvalidArgumentError, UnsupportedSizeError
 from spanembed.matching import hall_check, kuhn_matching
 
 
@@ -72,3 +72,16 @@ def test_kuhn_is_deterministic_function_of_edges():
     a = kuhn_matching(9, 9, adj)
     b = kuhn_matching(9, 9, [list(x) for x in adj])
     assert a == b
+
+
+def test_kuhn_recursion_overflow_is_unsupported_size():
+    # a_i-b_i, a_i-b_{i+1} and a_last-b_0: the last vertex augments along the whole chain
+    n = 1500
+    adj = [[i, i + 1] for i in range(n - 1)] + [[0, n - 1]]
+    with pytest.raises(UnsupportedSizeError, match="1500 x 1500"):
+        kuhn_matching(n, n, adj)
+    edges = [(a, n + b) for a in range(n) for b in adj[a]]
+    with pytest.raises(UnsupportedSizeError):
+        hall_check(range(n), range(n, 2 * n), edges)
+    # short chains stay within the limit
+    assert kuhn_matching(50, 50, [[i, i + 1] for i in range(49)] + [[0, 49]])[0] == 50

@@ -154,6 +154,9 @@ def test_threshold_scan_validates_grid():
         ThresholdScan(host, perfect_matching_pattern(6), (0.5, 0.5), 5, 0)
     with pytest.raises(InvalidArgumentError):
         ThresholdScan(host, perfect_matching_pattern(6), (0.0, 0.5), 5, 0)
+    for trials in (0, -3):
+        with pytest.raises(InvalidArgumentError, match="trials"):
+            ThresholdScan(host, perfect_matching_pattern(6), (0.5, 1.0), trials, 0)
 
 
 def test_threshold_scan_flags_timeouts():

@@ -162,6 +162,18 @@ def test_estimate_spread_reference_run_consistency():
     assert abs(e1.estimate - e2.estimate) <= e1.radius + e2.radius
 
 
+def test_estimate_spread_replays_at_seed_xor_i():
+    # trial i is sample_spread_matching at seed ^ i, failures leave the denominator
+    f = random_instance(8, 0.8, seed=3)   # C = 1 without resampling fails often
+    s = {(0, 0)}
+    for seed in (0, 5, 2 ** 40):
+        est = estimate_matching_spread(f, 1, s, trials=120, seed=seed, max_resamples=0)
+        draws = [sample_spread_matching(f, 1, 0, seed ^ i) for i in range(120)]
+        ok = [d for d in draws if d.ok]
+        assert 0 < len(ok) < 120
+        assert (est.trials, est.hits) == (len(ok), sum(s <= d.matching for d in ok))
+
+
 def test_coupling_monotone_edge_absent_event():
     lam, c = 4, 2
     f = complete_instance(lam)

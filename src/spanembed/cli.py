@@ -179,6 +179,8 @@ def cmd_clique_factor(args) -> int:
 
 
 def cmd_spread_matching(args) -> int:
+    if args.trials < 1:
+        raise InvalidArgumentError(f"--trials = {args.trials} must be >= 1")
     params = FBParams(d=args.d, b=args.b, rho=args.rho, mu=args.mu, delta=args.delta)
     with open(args.instance, "r", encoding="utf-8") as fh:
         inst = parse_fb_instance(fh.read(), params)
@@ -195,7 +197,7 @@ def cmd_spread_matching(args) -> int:
 def _run_matching_event(inst, c, spec, trials, seed) -> SpreadEstimate:
     if spec == "hall-fail":
         _, (hits,) = count_trials(
-            lambda trial_seed: sample_coupled(inst, c, trial_seed).z,
+            lambda trial_seed: sample_coupled(inst, c, trial_seed).z_mat,
             [lambda z: canonical_matching(inst.lam, z)[0] < inst.lam], trials, seed)
         return SpreadEstimate("hall-fail", trials, hits)
     if spec.startswith("contains:"):

@@ -173,9 +173,12 @@ class PatternParams:
 
 
 class PartitionedPattern:
-    """Pattern H with parts X_i, potential buffers, and image restrictions."""
+    """Pattern H with parts X_i, potential buffers, and image restrictions.
 
-    __slots__ = ("h", "parts", "buffers", "restrictions", "params", "part_of")
+    ``nbrs[x]`` lists the H-neighbours of x in ascending order.
+    """
+
+    __slots__ = ("h", "parts", "buffers", "restrictions", "params", "part_of", "nbrs")
 
     def __init__(self, h: Graph, parts: Sequence[Sequence[int]],
                  buffers: Sequence[Sequence[int]],
@@ -191,6 +194,7 @@ class PartitionedPattern:
             for x in part:
                 part_of[x] = i
         self.part_of = tuple(part_of)
+        self.nbrs = tuple(bits(mask) for mask in h.adj)
 
     def restrictions_valid(self, host: "PartitionedHost", rho: float, zeta: float) -> bool:
         """(rho, zeta)-validity: per part at most rho |X_i| restricted
@@ -451,10 +455,7 @@ def rga_embed(host: PartitionedHost, pattern: PartitionedPattern,
     fails when that set is smaller than max(1, floor_fraction |V(x)|).
     """
     rng = np_rng(seed)
-    n = host.g.n
-    h = pattern.h
     adj = host.adj_bool()
-    cluster_rows = host.cluster_bool()
 
     buffer_sets = []
     for i, pool in enumerate(pattern.buffers):
@@ -477,31 +478,34 @@ def rga_embed(host: PartitionedHost, pattern: PartitionedPattern,
                 at[i] += 1
                 remaining -= 1
 
-    used = np.zeros(n, dtype=bool)
+    # per cluster: its vertices, its free slots, every host row restricted to
+    # it, and the candidate floor; candidates are slot indices into the cluster
+    members = [np.flatnonzero(row) for row in host.cluster_bool()]
+    free = [np.ones(len(cl), dtype=bool) for cl in members]
+    cluster_adj = [adj[:, cl] for cl in members]
+    floors = [max(1, int(cfg.floor_fraction * len(cl))) for cl in members]
+    part_of, nbrs = pattern.part_of, pattern.nbrs
+    restr_masks = {x: np.isin(members[part_of[x]], allowed)
+                   for x, allowed in pattern.restrictions.items()}
+
     phi: dict[int, int] = {}
     sizes = []
-    restr_masks = {}
-    for x, allowed in pattern.restrictions.items():
-        mask = np.zeros(n, dtype=bool)
-        mask[list(allowed)] = True
-        restr_masks[x] = mask
-
     for t, x in enumerate(order):
-        part = pattern.part_of[x]
-        avail = cluster_rows[part] & ~used
+        part = part_of[x]
+        avail = free[part]
         if x in restr_masks:
             avail = avail & restr_masks[x]
-        for y in bits(h.adj[x]):
+        rows = cluster_adj[part]
+        for y in nbrs[x]:
             if y in phi:
-                avail = avail & adj[phi[y]]
-        cands = np.flatnonzero(avail)
-        floor = max(1, int(cfg.floor_fraction * len(host.clusters[part])))
+                avail = avail & rows[phi[y]]
+        cands = avail.nonzero()[0]
         sizes.append(len(cands))
-        if len(cands) < floor:
+        if len(cands) < floors[part]:
             return RGAResult(False, phi, tuple(sizes), tuple(buffer_sets), fail_index=t)
-        v = int(cands[rng.integers(len(cands))])
-        phi[x] = v
-        used[v] = True
+        slot = cands[rng.integers(len(cands))]
+        phi[x] = int(members[part][slot])
+        free[part][slot] = False
     return RGAResult(True, phi, tuple(sizes), tuple(buffer_sets))
 
 
@@ -531,7 +535,6 @@ def complete_with_buffers(host: PartitionedHost, pattern: PartitionedPattern,
     """
     if not rga.ok:
         raise InvalidArgumentError("cannot complete a failed greedy stage")
-    h = pattern.h
     adj = host.adj_bool()
     n = host.g.n
     used = np.zeros(n, dtype=bool)
@@ -542,38 +545,37 @@ def complete_with_buffers(host: PartitionedHost, pattern: PartitionedPattern,
     instances = []
     delta = max(1, pattern.params.delta)
     for i in range(host.r):
-        a_list = list(rga.buffer_sets[i])
-        b_list = [v for v in host.clusters[i] if not used[v]]
-        if len(a_list) != len(b_list):
+        a_list = rga.buffer_sets[i]
+        free = np.flatnonzero(host.cluster_bool()[i] & ~used)
+        if len(a_list) != len(free):
             raise InternalInvariantError(
-                f"part {i}: {len(a_list)} buffers vs {len(b_list)} free vertices")
+                f"part {i}: {len(a_list)} buffers vs {len(free)} free vertices")
         lam = len(a_list)
         if lam == 0:
             continue
-        b_index = {v: k for k, v in enumerate(b_list)}
-        edges = []
-        b_used = 1
-        for ai, x in enumerate(a_list):
-            avail = np.ones(n, dtype=bool)
-            nbr_count = 0
-            for y in bits(h.adj[x]):
-                if y not in phi:
-                    raise InternalInvariantError(
-                        f"buffer vertex {x} has an unembedded neighbour {y}")
-                avail &= adj[phi[y]]
-                nbr_count += 1
-            b_used = max(b_used, min(nbr_count, delta))
-            for v in b_list:
-                if avail[v]:
-                    edges.append((ai, b_index[v]))
-        params = FBParams(d=host.params.d, b=b_used, rho=rho_ratio * cfg.mu,
-                          mu=cfg.mu, delta=delta)
-        f = FBInstance(lam, edges, params)
+        images = []
+        for x in a_list:
+            try:
+                images.append([phi[y] for y in pattern.nbrs[x]])
+            except KeyError as missing:
+                raise InternalInvariantError(f"buffer vertex {x} has an unembedded "
+                                             f"neighbour {missing.args[0]}") from None
+        # row a of F_i ANDs the host rows of a's neighbour images on the free
+        # slots; image lists are padded with index n, an all-True row
+        width = max(map(len, images))
+        host_rows = np.ones((n + 1, lam), dtype=bool)
+        host_rows[:n] = adj[:, free]
+        padded = np.array([im + [n] * (width - len(im)) for im in images], dtype=np.intp)
+        mat = host_rows[padded.reshape(lam, width)].all(axis=1)
+        params = FBParams(d=host.params.d, b=max(1, min(width, delta)),
+                          rho=rho_ratio * cfg.mu, mu=cfg.mu, delta=delta)
+        f = FBInstance(lam, mat, params)
         instances.append(f)
         draw = sample_spread_matching(f, min(c, lam), max_resamples, fresh_seed(master))
         if not draw.ok:
             witness = tuple(a_list[a] for a in draw.hall_witness or ())
             return CompletionResult(False, phi, tuple(instances), i, witness)
+        b_list = free.tolist()
         for ai, bi in draw.matching:
             phi[a_list[ai]] = b_list[bi]
 
@@ -585,15 +587,18 @@ def _validate_full_embedding(host, pattern, phi) -> None:
     h = pattern.h
     if len(phi) != h.n or len(set(phi.values())) != h.n:
         raise InternalInvariantError("embedding is not a bijection")
-    for x, v in phi.items():
-        if host.cluster_of[v] != pattern.part_of[x]:
-            raise InternalInvariantError(f"vertex {x} embedded outside its cluster")
-        allowed = pattern.restrictions.get(x)
-        if allowed is not None and v not in allowed:
+    image = np.array([phi[x] for x in range(h.n)], dtype=np.intp)
+    outside = np.flatnonzero(np.array(host.cluster_of)[image] != pattern.part_of)
+    if len(outside):
+        raise InternalInvariantError(f"vertex {outside[0]} embedded outside its cluster")
+    for x, allowed in pattern.restrictions.items():
+        if phi[x] not in allowed:
             raise InternalInvariantError(f"vertex {x} violates its image restriction")
-    for x, y in h.edges:
-        if not host.g.has_edge(phi[x], phi[y]):
-            raise InternalInvariantError(f"H-edge ({x},{y}) not mapped to a host edge")
+    edges = np.array(list(h.edges), dtype=np.intp).reshape(-1, 2)
+    missed = np.flatnonzero(~host.adj_bool()[image[edges[:, 0]], image[edges[:, 1]]])
+    if len(missed):
+        x, y = edges[missed[0]]
+        raise InternalInvariantError(f"H-edge ({x},{y}) not mapped to a host edge")
 
 
 # -- whole-pipeline runners --------------------------------------------

@@ -9,6 +9,13 @@ F whose per-edge inclusion probability inherits the O(C/lam) bound of
 Z; conditioning on a successful draw costs at most a factor two when
 the failure rate stays below one half.
 
+F, Z1 and Z2 are lam x lam boolean matrices, row a and column b
+standing for the edge (a, b).  Row-major order of the nonzero entries
+is sorted edge order, and each row (column) lists a vertex's
+neighbours in ascending order, so the sampler draws on the matrix
+directly; the edge sets and adjacency lists are views derived from it
+on first use, for callers that read edges.
+
 The FB1-FB3 parameter record bounds degrees and expansion of F:
 
 * FB1: every a in A has degree at least (1/2) d^b lam,
@@ -24,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .errors import InvalidArgumentError
 from .graphs import parse_int
@@ -56,34 +65,66 @@ class FBParams:
             raise InvalidArgumentError(f"rho must be positive, got {self.rho}")
 
 
+def _edge_set(mat: np.ndarray) -> frozenset[BipEdge]:
+    """The edges (a, b) of a boolean bipartite matrix."""
+    rows, cols = np.nonzero(mat)
+    return frozenset(zip(rows.tolist(), cols.tolist()))
+
+
+def _adjacency(mat: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Ascending column indices of every row."""
+    cols = np.nonzero(mat)[1].tolist()
+    ends = np.count_nonzero(mat, axis=1).cumsum().tolist()
+    return tuple(tuple(cols[start:end]) for start, end in zip([0] + ends[:-1], ends))
+
+
 class FBInstance:
-    """Balanced bipartite candidate graph with its FB parameter record."""
+    """Balanced bipartite candidate graph with its FB parameter record.
 
-    __slots__ = ("lam", "adj_a", "adj_b", "params", "edges")
+    ``edges`` is either an iterable of (a, b) pairs or a lam x lam
+    boolean matrix, which is kept as ``mat`` without a copy.  The edge
+    set ``edges`` and the sorted adjacency lists ``adj_a`` and ``adj_b``
+    are computed from ``mat`` once, on first use.
+    """
 
-    def __init__(self, lam: int, edges: Iterable[BipEdge], params: FBParams):
+    __slots__ = ("lam", "mat", "params", "_edges", "_adj_a", "_adj_b")
+
+    def __init__(self, lam: int, edges: Iterable[BipEdge] | np.ndarray, params: FBParams):
         if lam < 0:
             raise InvalidArgumentError("side size must be nonnegative")
+        if isinstance(edges, np.ndarray):
+            if edges.dtype != bool or edges.shape != (lam, lam):
+                raise InvalidArgumentError(
+                    f"candidate matrix must be {lam}x{lam} bool, got {edges.shape} {edges.dtype}")
+            mat = edges
+        else:
+            mat = np.zeros((lam, lam), dtype=bool)
+            for a, b in edges:
+                if not (0 <= a < lam and 0 <= b < lam):
+                    raise InvalidArgumentError(f"edge ({a},{b}) outside side range [0,{lam})")
+                mat[a, b] = True
         self.lam = lam
+        self.mat = mat
         self.params = params
-        adj_a: list[list[int]] = [[] for _ in range(lam)]
-        adj_b: list[list[int]] = [[] for _ in range(lam)]
-        seen = set()
-        for a, b in edges:
-            if not (0 <= a < lam and 0 <= b < lam):
-                raise InvalidArgumentError(f"edge ({a},{b}) outside side range [0,{lam})")
-            if (a, b) in seen:
-                continue
-            seen.add((a, b))
-            adj_a[a].append(b)
-            adj_b[b].append(a)
-        for lst in adj_a:
-            lst.sort()
-        for lst in adj_b:
-            lst.sort()
-        self.adj_a = tuple(tuple(x) for x in adj_a)
-        self.adj_b = tuple(tuple(x) for x in adj_b)
-        self.edges = frozenset(seen)
+        self._edges = self._adj_a = self._adj_b = None
+
+    @property
+    def edges(self) -> frozenset[BipEdge]:
+        if self._edges is None:
+            self._edges = _edge_set(self.mat)
+        return self._edges
+
+    @property
+    def adj_a(self) -> tuple[tuple[int, ...], ...]:
+        if self._adj_a is None:
+            self._adj_a = _adjacency(self.mat)
+        return self._adj_a
+
+    @property
+    def adj_b(self) -> tuple[tuple[int, ...], ...]:
+        if self._adj_b is None:
+            self._adj_b = _adjacency(self.mat.T)
+        return self._adj_b
 
     def degree_a(self, a: int) -> int:
         return len(self.adj_a[a])
@@ -92,7 +133,7 @@ class FBInstance:
         return len(self.adj_b[b])
 
     def __repr__(self):
-        return f"FBInstance(lam={self.lam}, m={len(self.edges)})"
+        return f"FBInstance(lam={self.lam}, m={int(self.mat.sum())})"
 
 
 @dataclass(frozen=True)
@@ -161,21 +202,59 @@ def check_fb_conditions(f: FBInstance, seed: int = 0,
 # -- the coupled measure ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoupledSample:
-    z1: frozenset[BipEdge]
-    z2: frozenset[BipEdge]
+    """Z1 and Z2 as lam x lam boolean matrices, with edge-set views.
+
+    Compare samples through their edge sets; arrays have no single truth value.
+    """
+
+    z1_mat: np.ndarray
+    z2_mat: np.ndarray
+
+    @property
+    def z_mat(self) -> np.ndarray:
+        return self.z1_mat | self.z2_mat
+
+    @property
+    def z1(self) -> frozenset[BipEdge]:
+        return _edge_set(self.z1_mat)
+
+    @property
+    def z2(self) -> frozenset[BipEdge]:
+        return _edge_set(self.z2_mat)
 
     @property
     def z(self) -> frozenset[BipEdge]:
-        return self.z1 | self.z2
+        return _edge_set(self.z_mat)
+
+
+def _neighbour_draws(rows: np.ndarray, cols: np.ndarray, lam: int, c: int,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """C uniform neighbour draws per non-isolated row, rows in ascending order.
+
+    ``rows`` and ``cols`` are the nonzero entries in row-major order;
+    returns the drawn entries as (row, column) arrays.  One ``integers``
+    call with one bound per draw yields the same stream as one call of
+    size C per row.
+    """
+    deg = np.bincount(rows, minlength=lam)
+    start = np.cumsum(deg) - deg
+    has = deg > 0
+    picks = np.repeat(start[has], c) + rng.integers(0, np.repeat(deg[has], c))
+    return rows[picks], cols[picks]
 
 
 def sample_coupled(f: FBInstance, c: int, seed: int) -> CoupledSample:
     """One draw of Z1 (binomial, prob C/lam) and Z2 (C neighbour draws each).
 
-    Deterministic given the seed.  Requires 1 <= C <= lam so the
-    binomial edge probability stays at most one.
+    Deterministic given the seed.  The generator seeded with ``seed``
+    gives, in this order: one uniform per edge in sorted edge order
+    (the edge is in Z1 when its uniform is below C/lam); then C neighbour
+    indices for every A-vertex with a neighbour, vertices in ascending
+    order; then the same for every B-vertex.  A neighbour index counts
+    into the vertex's ascending neighbour list.  Requires 1 <= C <= lam
+    so the binomial edge probability stays at most one.
     """
     if c < 1:
         raise InvalidArgumentError(f"C must be >= 1, got {c}")
@@ -184,23 +263,18 @@ def sample_coupled(f: FBInstance, c: int, seed: int) -> CoupledSample:
     if c > f.lam:
         raise InvalidArgumentError(f"C = {c} exceeds lam = {f.lam}; edge probability would exceed 1")
     rng = np_rng(seed)
-    edges = sorted(f.edges)
-    prob = c / f.lam
-    keep = rng.random(len(edges)) < prob
-    z1 = frozenset(e for e, k in zip(edges, keep) if k)
+    mat = f.mat
+    rows, cols = np.nonzero(mat)    # row-major: sorted edge order
+    keep = rng.random(len(rows)) < c / f.lam
+    z1 = np.zeros_like(mat)
+    z1[rows[keep], cols[keep]] = True
 
-    z2 = set()
-    for a in range(f.lam):
-        nbrs = f.adj_a[a]
-        if nbrs:
-            for i in rng.integers(0, len(nbrs), size=c):
-                z2.add((a, nbrs[i]))
-    for b in range(f.lam):
-        nbrs = f.adj_b[b]
-        if nbrs:
-            for i in rng.integers(0, len(nbrs), size=c):
-                z2.add((nbrs[i], b))
-    return CoupledSample(z1, frozenset(z2))
+    z2 = np.zeros_like(mat)
+    a, b = _neighbour_draws(rows, cols, f.lam, c, rng)
+    z2[a, b] = True
+    b, a = _neighbour_draws(*np.nonzero(mat.T), f.lam, c, rng)
+    z2[a, b] = True
+    return CoupledSample(z1, z2)
 
 
 def default_coupling_constant(f: FBInstance) -> int:
@@ -235,13 +309,20 @@ class MatchingDraw:
     hall_witness: tuple[int, ...] | None = None
 
 
-def canonical_matching(lam: int, z_edges: Iterable[BipEdge]) -> tuple[int, frozenset[BipEdge]]:
-    """Deterministic maximum matching of an edge set: index-order augmenting paths."""
-    adj: list[list[int]] = [[] for _ in range(lam)]
-    for a, b in z_edges:
-        adj[a].append(b)
-    for lst in adj:
-        lst.sort()
+def canonical_matching(lam: int, z_edges: Iterable[BipEdge] | np.ndarray
+                       ) -> tuple[int, frozenset[BipEdge]]:
+    """Deterministic maximum matching of an edge set: index-order augmenting paths.
+
+    ``z_edges`` is an iterable of (a, b) pairs or a lam x lam boolean matrix.
+    """
+    if isinstance(z_edges, np.ndarray):
+        adj = _adjacency(z_edges)
+    else:
+        adj = [[] for _ in range(lam)]
+        for a, b in z_edges:
+            adj[a].append(b)
+        for lst in adj:
+            lst.sort()
     size, pair_l, _ = kuhn_matching(lam, lam, adj)
     m = frozenset((a, pair_l[a]) for a in range(lam) if pair_l[a] != UNMATCHED)
     return size, m
@@ -259,16 +340,15 @@ def sample_spread_matching(f: FBInstance, c: int, max_resamples: int, seed: int)
         return MatchingDraw(True, frozenset(), 1)
     rng = py_rng(seed)
     draws = 0
-    last_z: frozenset[BipEdge] = frozenset()
+    z = np.zeros_like(f.mat)     # a negative budget allows no draw: Hall on an empty Z
     while draws <= max_resamples:
-        sample = sample_coupled(f, c, fresh_seed(rng))
+        z = sample_coupled(f, c, fresh_seed(rng)).z_mat
         draws += 1
-        last_z = sample.z
-        size, matching = canonical_matching(f.lam, last_z)
+        size, matching = canonical_matching(f.lam, z)
         if size == f.lam:
             return MatchingDraw(True, matching, draws)
     verdict = hall_check(range(f.lam), range(f.lam, 2 * f.lam),
-                         [(a, f.lam + b) for a, b in last_z])
+                         [(a, f.lam + b) for a, b in _edge_set(z)])
     return MatchingDraw(False, None, draws, verdict.witness)
 
 
@@ -293,18 +373,13 @@ def estimate_matching_spread(f: FBInstance, c: int, s_edges: Iterable[BipEdge],
                              max_resamples: int = 8) -> SpreadEstimate:
     """Monte Carlo P(S within the sampled matching), conditioned on success.
 
-    ``trials`` counts attempted draws; failed draws do not enter the
-    denominator.  A set S that is not a matching has probability zero
-    by definition and short-circuits.
+    Of ``trials`` attempted draws, the estimate's ``trials`` counts the
+    successful ones; failed draws do not enter the denominator.  An
+    empty S holds on every success, and an S that is not a matching
+    holds on none.
     """
     s = frozenset(s_edges)
     label = f"contains[{','.join(f'{a}-{b}' for a, b in sorted(s))}]"
-    if not s:
-        return SpreadEstimate(label, trials, trials)
-    a_ends = [a for a, _ in s]
-    b_ends = [b for _, b in s]
-    if len(set(a_ends)) != len(s) or len(set(b_ends)) != len(s):
-        return SpreadEstimate(label, trials, 0)
     done, (hits,) = count_trials(
         lambda trial_seed: sample_spread_matching(f, c, max_resamples, trial_seed).matching,
         [s.issubset], trials, seed)

@@ -148,6 +148,19 @@ def test_unknown_event_is_exit_2(files):
         assert main(["spread-matching", "--instance", bad]) == 2
 
 
+def test_spread_matching_bad_trials_is_exit_2(files, capsys):
+    write, _ = files
+    params = FBParams(d=0.8, b=1, rho=0.1, mu=0.25, delta=2)
+    inst = FBInstance(10, [(a, b) for a in range(10) for b in range(10)], params)
+    path = write("inst.txt", format_fb_instance(inst))
+    for trials in ("0", "-3"):
+        for event in ("hall-fail", "contains:0-1"):
+            assert main(["spread-matching", "--instance", path, "--trials", trials,
+                         "--event", event]) == 2
+            captured = capsys.readouterr()
+            assert "--trials" in captured.err and captured.out == ""
+
+
 def test_bad_config_is_exit_2(files, capsys):
     write, _ = files
     scan = "host dirac-overlap\nn 16\npattern matching\npgrid 0.2,1.0\nseed 3\n"

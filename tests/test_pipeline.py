@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -26,6 +27,8 @@ from spanembed.robustness import clique_factor_pattern, perfect_matching_pattern
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
+# run_pipeline_once on triangle_setup(d=0.4), C=6, seeds 0..19
+DIGEST = "b13299fc768a612a8ad38241a3ecf25825e3e363f631cb1134ef94a5dfc8fdb1"
 
 
 def small_matching_setup(m=25, seed=3, alpha=0.3):
@@ -35,8 +38,8 @@ def small_matching_setup(m=25, seed=3, alpha=0.3):
     return host, pattern
 
 
-def triangle_setup(m=25, seed=2, alpha=0.3):
-    host = generate_regular_host(K3, K3, m=m, d=0.5, seed=seed)
+def triangle_setup(m=25, seed=2, alpha=0.3, d=0.5):
+    host = generate_regular_host(K3, K3, m=m, d=d, seed=seed)
     pattern = partition_pattern(clique_factor_pattern(3 * m, 3), host, None,
                                 alpha=alpha, seed=seed ^ 5)
     return host, pattern
@@ -148,6 +151,46 @@ def test_completion_round_trip_and_validation():
         assert host.g.has_edge(phi[x], phi[y])
     # per-part instances got built with balanced sides
     assert all(f.lam == len(r) for f, r in zip(done.instances, rga.buffer_sets))
+
+
+def test_completion_instances_follow_their_definition():
+    # F_i joins buffer a to free slot b when b is adjacent to every image of
+    # an H-neighbour of a; rebuilt here by set intersection.  At d = 0.4 the
+    # host pairs are not complete, so neither is F_i.
+    host, pattern = triangle_setup(d=0.4)
+    cfg = RGAConfig(mu=0.25)
+    checked = []
+    for seed in range(8):
+        rga = rga_embed(host, pattern, cfg, seed=seed)
+        if not rga.ok:
+            continue
+        done = complete_with_buffers(host, pattern, rga, cfg, c=6, seed=seed)
+        used = set(rga.phi.values())
+        for i, f in enumerate(done.instances):
+            free = [v for v in host.clusters[i] if v not in used]
+            want = set()
+            for ai, x in enumerate(rga.buffer_sets[i]):
+                allowed = set(free)
+                for y in pattern.h.neighbors(x):
+                    allowed &= set(host.g.neighbors(done.phi[y]))
+                want |= {(ai, free.index(v)) for v in allowed}
+            assert f.lam == len(free) == len(rga.buffer_sets[i])
+            assert f.edges == want
+            checked.append(len(want) / f.lam ** 2)
+    assert len(checked) >= 10 and max(checked) < 1
+
+
+def test_pipeline_trials_replay_bit_identical():
+    # digest of 20 trials, four of which fail in buffer completion, recorded
+    # before the pipeline moved to boolean matrices
+    host, pattern = triangle_setup(d=0.4)
+    cfg = RGAConfig(mu=0.25)
+    digest = hashlib.sha256()
+    for seed in range(20):
+        trial = run_pipeline_once(host, pattern, cfg, 6, seed)
+        phi = None if trial.phi is None else sorted(trial.phi.items())
+        digest.update(repr((trial.fail_stage, trial.rga_sizes, phi)).encode())
+    assert digest.hexdigest() == DIGEST
 
 
 def test_completion_with_vanishing_buffer_fraction():

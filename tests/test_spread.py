@@ -59,6 +59,54 @@ def test_coupled_sample_degree_one_vertex_draws():
         assert (0, 0) in s.z2  # the unique neighbour absorbs every draw
 
 
+def coupled_oracle(f, c, seed):
+    """The per-vertex loop that fixes sample_coupled's stream, on sorted edge lists."""
+    rng = np.random.default_rng(seed)
+    edges = sorted(f.edges)
+    keep = rng.random(len(edges)) < c / f.lam
+    z1 = {e for e, k in zip(edges, keep) if k}
+    z2 = set()
+    for a in range(f.lam):
+        nbrs = [b for x, b in edges if x == a]
+        if nbrs:
+            for i in rng.integers(0, len(nbrs), size=c):
+                z2.add((a, nbrs[i]))
+    for b in range(f.lam):
+        nbrs = [a for a, y in edges if y == b]
+        if nbrs:
+            for i in rng.integers(0, len(nbrs), size=c):
+                z2.add((nbrs[i], b))
+    return z1, z2
+
+
+def test_coupled_sample_stream_matches_per_vertex_loop():
+    # isolated A-vertices (0, 4) and B-vertices (lam-1, 2) draw nothing
+    for lam, p in ((10, 0.5), (12, 0.2)):
+        adj = random_bipartite_adj(lam, lam, p, seed=lam)
+        edges = [(a, b) for a in range(lam) for b in adj[a]
+                 if a not in (0, 4) and b not in (lam - 1, 2)]
+        f = FBInstance(lam, edges, PARAMS)
+        assert not f.adj_a[0] and not f.adj_b[lam - 1]
+        for c in (1, 2, 3, 8, lam):
+            for seed in range(30):
+                s = sample_coupled(f, c, seed)
+                assert (s.z1, s.z2) == coupled_oracle(f, c, seed), (lam, c, seed)
+
+
+def test_instance_matrix_and_edge_list_agree():
+    f = random_instance(7, 0.4, seed=9)
+    g = FBInstance(7, f.mat.copy(), PARAMS)
+    assert g.edges == f.edges and g.adj_a == f.adj_a and g.adj_b == f.adj_b
+    assert all(b in f.adj_a[a] and a in f.adj_b[b] for a, b in f.edges)
+    assert sum(map(len, f.adj_a)) == len(f.edges) == int(f.mat.sum())
+    with pytest.raises(InvalidArgumentError):
+        FBInstance(6, f.mat, PARAMS)                   # wrong shape
+    with pytest.raises(InvalidArgumentError):
+        FBInstance(7, f.mat.astype(int), PARAMS)       # not boolean
+    with pytest.raises(InvalidArgumentError):
+        FBInstance(7, [(0, 7)], PARAMS)
+
+
 def test_coupled_sample_validates_c():
     f = complete_instance(4)
     with pytest.raises(InvalidArgumentError):
@@ -147,11 +195,19 @@ def test_sample_matching_fails_with_isolated_vertex():
 
 
 def test_estimate_spread_trivial_cases():
-    f = complete_instance(6)
-    est = estimate_matching_spread(f, 4, [], trials=50, seed=1)
-    assert est.estimate == 1.0
-    est = estimate_matching_spread(f, 4, [(0, 0), (0, 1)], trials=50, seed=1)
-    assert est.hits == 0  # not a matching: probability zero by definition
+    # an empty S holds on every successful draw and an S that is not a matching
+    # on none; both count successful draws, as every other S does
+    cases = ((complete_instance(6), 4, 8), (random_instance(8, 0.8, seed=3), 1, 0))
+    for f, c, resamples in cases:
+        successes = sum(sample_spread_matching(f, c, resamples, 1 ^ i).ok for i in range(50))
+        est = estimate_matching_spread(f, c, [], trials=50, seed=1, max_resamples=resamples)
+        assert est.estimate == 1.0
+        assert est.trials == est.hits == successes
+        est = estimate_matching_spread(f, c, [(0, 0), (0, 1)], trials=50, seed=1,
+                                       max_resamples=resamples)
+        assert est.hits == 0  # not a matching: probability zero by definition
+        assert est.trials == successes
+    assert 0 < successes < 50   # the second instance fails some draws
 
 
 def test_estimate_spread_reference_run_consistency():

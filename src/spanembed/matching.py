@@ -1,14 +1,18 @@
-"""Bipartite maximum matching, Hall verdicts, and canonical matchings.
+"""Maximum matchings: one bipartite matcher, one general-graph matcher.
 
-One matcher serves both jobs: a plain augmenting-path scan in vertex
-order (Kuhn), a pure function of the edge set with no randomness of its
-own.  The samplers use its matching as the canonical one, and
-``hall_check`` uses its size to decide Hall's condition on balanced
-bipartite graphs (perfect matching iff no deficient set).  On
-deficiency the witness is the set of A-vertices reachable by
-alternating paths from unmatched A-vertices; that set is the same for
-every maximum matching (Dulmage-Mendelsohn), so it does not depend on
-which maximum matching the scan finds.
+The bipartite matcher is a plain augmenting-path scan in vertex order
+(Kuhn), a pure function of the edge set with no randomness of its own.
+The samplers use its matching as the canonical one, and ``hall_check``
+uses its size to decide Hall's condition on balanced bipartite graphs
+(perfect matching iff no deficient set).  On deficiency the witness is
+the set of A-vertices reachable by alternating paths from unmatched
+A-vertices; that set is the same for every maximum matching
+(Dulmage-Mendelsohn), so it does not depend on which maximum matching
+the scan finds.
+
+The general-graph matcher is Edmonds' cardinality blossom algorithm
+("Paths, trees, and flowers", 1965) on neighbour bitmasks, grown from a
+warm-start matching; containment of matching patterns uses it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InvalidArgumentError, UnsupportedSizeError
+from .errors import InternalInvariantError, InvalidArgumentError, UnsupportedSizeError
+from .graphs import bits
 
 UNMATCHED = -1
 
@@ -106,3 +111,105 @@ def hall_check(a_side: Iterable[int], b_side: Iterable[int],
                 q.append(w)
     witness = tuple(aa[u] for u in sorted(seen_a))
     return HallVerdict(False, witness, size)
+
+
+def edmonds_matching(adj: Sequence[int], mate: Sequence[int] | None = None) -> list[int]:
+    """Maximum matching of a general graph, grown from a warm start.
+
+    ``adj[v]`` is the neighbour bitmask of vertex v, as in ``Graph.adj``;
+    ``mate[v]`` is v's partner in the starting matching or UNMATCHED
+    (default: the empty matching).  Returns the mate list of a maximum
+    matching; the argument is not modified.  Each exposed vertex roots
+    one breadth-first search for an augmenting path.  A root without
+    one never gains one after later augmentations, so one pass over the
+    exposed vertices suffices.  The search is iterative: path length is
+    bounded by n, not by the recursion limit.
+    """
+    n = len(adj)
+    mate = [UNMATCHED] * n if mate is None else list(mate)
+    if len(mate) != n:
+        raise InvalidArgumentError(f"mate list has {len(mate)} entries for {n} vertices")
+    for v, w in enumerate(mate):
+        if w != UNMATCHED and not (0 <= w < n and mate[w] == v and adj[v] >> w & 1):
+            raise InvalidArgumentError(f"mate[{v}] = {w} is not a matching edge")
+    nbrs: list[list[int] | None] = [None] * n     # neighbour lists, built on first scan
+    for root in range(n):
+        if mate[root] == UNMATCHED:
+            _augment_from(root, adj, nbrs, mate)
+    return mate
+
+
+def _augment_from(root: int, adj: Sequence[int], nbrs: list, mate: list[int]) -> None:
+    """Grow an alternating tree from ``root``; augment ``mate`` along the first path found.
+
+    ``parent[w]`` is the tree edge into odd vertex w; inside a contracted
+    blossom, even vertices also get a parent, pointing the other way
+    round the cycle, so that a path can leave the blossom from any of
+    its vertices.  ``base[v]`` is the base of v's outermost blossom;
+    ``tree`` lists the vertices of the tree, the only ones a blossom
+    can contain.
+    """
+    n = len(adj)
+    base = list(range(n))
+    parent = [UNMATCHED] * n
+    even = [False] * n
+    even[root] = True
+    queue = [root]
+    tree = [root]
+    for v in queue:
+        if nbrs[v] is None:
+            nbrs[v] = bits(adj[v])
+        for w in nbrs[v]:
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if even[w]:     # the edge closes an odd cycle: contract it
+                b = _common_base(v, w, base, parent, mate)
+                blossom = [False] * n
+                _mark_path(v, b, w, base, parent, mate, blossom)
+                _mark_path(w, b, v, base, parent, mate, blossom)
+                for u in tree:
+                    if blossom[base[u]]:
+                        base[u] = b
+                        if not even[u]:
+                            even[u] = True
+                            queue.append(u)
+            elif parent[w] == UNMATCHED:
+                parent[w] = v
+                if mate[w] == UNMATCHED:
+                    for _ in range(n):      # flip the path root ... v-w
+                        v = parent[w]
+                        nxt = mate[v]
+                        mate[w], mate[v] = v, w
+                        w = nxt
+                        if w == UNMATCHED:
+                            return
+                    raise InternalInvariantError(f"augmenting path from {root} does not end")
+                even[mate[w]] = True
+                queue.append(mate[w])
+                tree += (w, mate[w])
+
+
+def _common_base(v: int, w: int, base: list[int], parent: list[int], mate: list[int]) -> int:
+    """Base of the first blossom shared by the tree paths from even v and w to the root."""
+    on_path = set()
+    while True:
+        v = base[v]
+        on_path.add(v)
+        if mate[v] == UNMATCHED:
+            break
+        v = parent[mate[v]]
+    while True:
+        w = base[w]
+        if w in on_path:
+            return w
+        w = parent[mate[w]]
+
+
+def _mark_path(v: int, b: int, child: int, base: list[int], parent: list[int],
+               mate: list[int], blossom: list[bool]) -> None:
+    """Mark the blossoms on the tree path from even v to base b; point its evens at ``child``."""
+    while base[v] != b:
+        blossom[base[v]] = blossom[base[mate[v]]] = True
+        parent[v] = child
+        child = mate[v]
+        v = parent[mate[v]]

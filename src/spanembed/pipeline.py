@@ -529,9 +529,11 @@ def complete_with_buffers(host: PartitionedHost, pattern: PartitionedPattern,
 
     Per part, the candidate graph F_i joins each unembedded buffer
     vertex to the unused cluster vertices adjacent to all images of its
-    embedded H-neighbours; a spread perfect matching of F_i assigns the
-    images.  Fails with the part index and a Hall witness if some part
-    admits no perfect matching within the resampling budget.
+    embedded H-neighbours and inside its image restriction, if it has
+    one; a spread perfect matching of F_i assigns the images.  Fails
+    with the part index and a Hall witness if some part admits no
+    perfect matching within the resampling budget (a buffer vertex
+    left without candidates is always in the witness).
     """
     if not rga.ok:
         raise InvalidArgumentError("cannot complete a failed greedy stage")
@@ -567,6 +569,10 @@ def complete_with_buffers(host: PartitionedHost, pattern: PartitionedPattern,
         host_rows[:n] = adj[:, free]
         padded = np.array([im + [n] * (width - len(im)) for im in images], dtype=np.intp)
         mat = host_rows[padded.reshape(lam, width)].all(axis=1)
+        if pattern.restrictions:
+            for a, x in enumerate(a_list):
+                if x in pattern.restrictions:
+                    mat[a] &= np.isin(free, pattern.restrictions[x])
         params = FBParams(d=host.params.d, b=max(1, min(width, delta)),
                           rho=rho_ratio * cfg.mu, mu=cfg.mu, delta=delta)
         f = FBInstance(lam, mat, params)

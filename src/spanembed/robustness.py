@@ -4,9 +4,16 @@ G(p) keeps each host edge independently with probability p; a scan
 reuses one trial seed across its whole p-grid, so the kept edge sets
 are nested and containment is exactly monotone along the grid (shared
 uniform per edge).  Containment of a spanning pattern is decided
-exactly by a budgeted backtracking search, with polynomial special
-cases for matchings (maximum matching) and clique factors (exact cover
-over cliques).  Timeouts are first-class results, never coerced to no.
+exactly by a budgeted backtracking search, with two special cases:
+
+* matchings (maximum degree one) in polynomial time: H embeds iff Gp
+  has a matching with as many edges as H.  A greedy matching in vertex
+  order settles most samples; when it falls short, Edmonds' blossom
+  algorithm (``matching.edmonds_matching``), warm-started from the
+  greedy matching, grows it to a maximum matching;
+* clique factors by exact cover over cliques.
+
+Timeouts are first-class results, never coerced to no.
 
 CSV schema for scans (column order frozen):
     kind,p,trials,successes,timeouts,fraction,wilson_lo,wilson_hi,flag
@@ -17,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import networkx as nx
 
 from .density import max_one_density
 from .errors import InternalInvariantError, InvalidArgumentError
@@ -31,6 +36,7 @@ from .graphs import (
     disjoint_union,
     mask_of,
 )
+from .matching import UNMATCHED, edmonds_matching
 from .seeds import child_seed, check_seed, np_rng, py_rng
 from .switching import delta_e_upper_bound
 from .tailbounds import hypergeo_chernoff_bound, wilson_interval
@@ -78,9 +84,10 @@ def contains_spanning(gp: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> Cont
     """
     if gp.n != h.n:
         raise InvalidArgumentError(f"need |V(Gp)| = |V(H)|, got {gp.n} != {h.n}")
-    if h.max_degree() > gp.max_degree():
+    h_max_degree = h.max_degree()
+    if h_max_degree > gp.max_degree():
         return ContainVerdict(NO, nodes_used=0)
-    if h.max_degree() <= 1:
+    if h_max_degree <= 1:
         return _contains_matching(gp, h)
     factor_r = _clique_factor_shape(h)
     if factor_r is not None:
@@ -94,17 +101,13 @@ def _contains_matching(gp: Graph, h: Graph) -> ContainVerdict:
         return ContainVerdict(YES, {x: x for x in range(h.n)})
     if 2 * need == gp.n and gp.min_degree() == 0:
         return ContainVerdict(NO)     # perfect matching with an isolated vertex
-    greedy = _greedy_matching(gp)
-    if len(greedy) >= need:
-        pairs = greedy
-    else:
-        nxg = nx.Graph()
-        nxg.add_nodes_from(range(gp.n))
-        nxg.add_edges_from(gp.edges)
-        matching = nx.max_weight_matching(nxg, maxcardinality=True)
-        if len(matching) < need:
+    mate = _greedy_matching(gp)
+    pairs = [(u, w) for u, w in enumerate(mate) if u < w]
+    if len(pairs) < need:
+        mate = edmonds_matching(gp.adj, mate)
+        pairs = [(u, w) for u, w in enumerate(mate) if u < w]
+        if len(pairs) < need:
             return ContainVerdict(NO)
-        pairs = [tuple(sorted(e)) for e in matching]
     phi: dict[int, int] = {}
     h_edges = h.sorted_edges()
     for (hx, hy), (gu, gv) in zip(h_edges, pairs):
@@ -117,18 +120,19 @@ def _contains_matching(gp: Graph, h: Graph) -> ContainVerdict:
     return ContainVerdict(YES, phi)
 
 
-def _greedy_matching(gp: Graph) -> list[tuple[int, int]]:
+def _greedy_matching(gp: Graph) -> list[int]:
+    """Mate list of a maximal matching: vertices in index order take their lowest free neighbour."""
     used = 0
-    out = []
+    mate = [UNMATCHED] * gp.n
     for v in range(gp.n):
         if used >> v & 1:
             continue
         free = gp.adj[v] & ~used
         if free:
-            w = bits(free)[0]
-            out.append((v, w))
+            w = (free & -free).bit_length() - 1
+            mate[v], mate[w] = w, v
             used |= (1 << v) | (1 << w)
-    return out
+    return mate
 
 
 def _clique_factor_shape(h: Graph) -> int | None:

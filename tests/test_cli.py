@@ -2,6 +2,8 @@ import contextlib
 import csv
 import io
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -20,6 +22,15 @@ def files(tmp_path):
         p.write_text(text)
         return str(p)
     return write, tmp_path
+
+
+def test_cli_import_leaves_networkx_out():
+    # networkx is a test-only oracle: the library must run without it
+    code = "import sys, spanembed.cli; print('networkx' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_m1_subcommand(files, capsys):

@@ -1,14 +1,17 @@
 import itertools
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from conftest import random_bipartite_adj
+from conftest import random_bipartite_adj, random_graph
 from spanembed.errors import InvalidArgumentError, UnsupportedSizeError
-from spanembed.matching import hall_check, kuhn_matching
+from spanembed.graphs import Graph, cycle_graph, disjoint_union, path_graph
+from spanembed.matching import UNMATCHED, edmonds_matching, hall_check, kuhn_matching
+from spanembed.robustness import _greedy_matching
 
 
 def permanent_positive(adj, n):
@@ -85,3 +88,127 @@ def test_kuhn_recursion_overflow_is_unsupported_size():
         hall_check(range(n), range(n, 2 * n), edges)
     # short chains stay within the limit
     assert kuhn_matching(50, 50, [[i, i + 1] for i in range(49)] + [[0, 49]])[0] == 50
+
+
+# -- Edmonds on general graphs, networkx's blossom as the oracle ----------
+
+
+def networkx_matching_size(g):
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.n))
+    ng.add_edges_from(g.edges)
+    return len(nx.max_weight_matching(ng, maxcardinality=True))
+
+
+def matching_size(g, mate):
+    """Edges of the matching ``mate``, after checking that it is one in g."""
+    assert len(mate) == g.n
+    for v, w in enumerate(mate):
+        assert w == UNMATCHED or (mate[w] == v and g.has_edge(v, w)), (v, w)
+    return sum(w != UNMATCHED for w in mate) // 2
+
+
+def maximal_matching(g, order):
+    """Mate list of the maximal matching that pairs vertices greedily in ``order``."""
+    mate = [UNMATCHED] * g.n
+    for v in order:
+        if mate[v] == UNMATCHED:
+            w = next((w for w in order if mate[w] == UNMATCHED and g.has_edge(v, w)), None)
+            if w is not None:
+                mate[v], mate[w] = w, v
+    return mate
+
+
+def warm_starts(g, seed):
+    """The empty matching, the greedy one of containment, and a shuffled maximal one."""
+    order = list(range(g.n))
+    random.Random(seed).shuffle(order)
+    return [None, _greedy_matching(g), maximal_matching(g, order)]
+
+
+def assert_maximum_from_every_start(g, seed):
+    want = networkx_matching_size(g)
+    for start in warm_starts(g, seed):
+        before = None if start is None else list(start)
+        mate = edmonds_matching(g.adj, start)
+        assert matching_size(g, mate) == want, (g.n, seed)
+        assert start == before           # the warm start is not modified
+
+
+def test_edmonds_size_equals_networkx_on_random_graphs():
+    for n in range(2, 61):
+        for k, p in enumerate((1.0 / n, 2.0 / n, 0.2)):
+            seed = 100 * n + k
+            assert_maximum_from_every_start(random_graph(n, p, seed), seed)
+
+
+def odd_cycles_joined_by_paths(lengths, path_len):
+    """Odd cycles in a row, consecutive ones joined by a path of ``path_len`` edges."""
+    g = cycle_graph(lengths[0])
+    for length in lengths[1:]:
+        last = g.n - 1
+        g = disjoint_union(g, path_graph(path_len - 1), cycle_graph(length))
+        g = Graph(g.n, set(g.edges) | {(last, last + 1), (last + path_len - 1, last + path_len)})
+    return g
+
+
+def blossom_ring(cycle_len, ring_len):
+    """``ring_len`` odd cycles arranged in an odd ring, each with a pendant vertex.
+
+    A search that contracts the small cycles closes the ring through
+    their bases, so blossoms end up nested inside a blossom.
+    """
+    size = cycle_len + 1
+    edges = set()
+    for i in range(ring_len):
+        first = i * size
+        edges |= {(first + j, first + (j + 1) % cycle_len) for j in range(cycle_len)}
+        edges.add((first, first + cycle_len))                      # pendant
+        edges.add((first + 1, (first + size + 2) % (ring_len * size)))   # ring edge
+    return Graph(ring_len * size, edges)
+
+
+def test_edmonds_on_blossom_gadgets():
+    # the one augmenting path 0-1=2-6=5-4=3-7 runs round the blossom 2..6
+    flower = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 2), (3, 7)])
+    mate = edmonds_matching(flower.adj, [UNMATCHED, 2, 1, 4, 3, 6, 5, UNMATCHED])
+    assert mate == [1, 0, 6, 7, 5, 4, 2, 3]
+    # the search from 5 closes the blossom 5-2=0-3=6-9=7-5 round its own root;
+    # the one augmenting path, 5-7=9-6=3-0=2-8, leaves it at 2, so both sides
+    # of the closing edge must be contracted
+    rooted = Graph(10, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (2, 8), (3, 6),
+                        (4, 7), (5, 7), (6, 9), (7, 9)])
+    mate = edmonds_matching(rooted.adj, [2, 4, 0, 6, 1, UNMATCHED, 3, 9, UNMATCHED, 7])
+    assert mate == [3, 4, 8, 0, 1, 7, 9, 5, 2, 6]
+    gadgets = [odd_cycles_joined_by_paths(lengths, path_len)
+               for lengths in ((3, 3), (3, 5, 7), (5, 3, 5, 3), (7, 7))
+               for path_len in (1, 2, 3)]
+    gadgets += [blossom_ring(c, r) for c in (3, 5) for r in (3, 5, 7)]
+    for i, g in enumerate(gadgets):
+        for seed in range(20):
+            # relabel, so that roots and warm starts vary
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            relabelled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            assert_maximum_from_every_start(relabelled, 1000 * i + seed)
+
+
+def test_edmonds_has_no_depth_limit():
+    # a path whose greedy matching takes every second inner edge: the one
+    # augmenting path has 1501 edges and visits every vertex
+    n = 1502
+    order = [n - 2] + list(range(n - 2)) + [n - 1]      # path order of the labels
+    g = Graph(n, zip(order, order[1:]))
+    start = _greedy_matching(g)
+    assert matching_size(g, start) == 750
+    mate = edmonds_matching(g.adj, start)
+    assert matching_size(g, mate) == 751
+    assert [mate[u] for u in order[::2]] == order[1::2]
+
+
+def test_edmonds_rejects_a_bad_warm_start():
+    g = path_graph(4)
+    for bad in ([1, 0, UNMATCHED], [1, UNMATCHED, UNMATCHED, UNMATCHED],
+                [2, UNMATCHED, 0, UNMATCHED], [1, 0, 3, 7]):
+        with pytest.raises(InvalidArgumentError):
+            edmonds_matching(g.adj, bad)

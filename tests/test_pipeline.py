@@ -394,3 +394,48 @@ def test_rga_honors_image_restrictions():
     for seed in range(20):
         out = rga_embed(host, narrowed, cfg, seed)
         assert out.ok and out.phi[x] in allowed
+
+
+def test_completion_honours_buffer_image_restrictions():
+    # parts[0][3] is in the potential-buffer pool, so in most trials it is
+    # embedded by the buffer matching, which must keep it inside I_x
+    host, pattern = small_matching_setup()
+    from spanembed.pipeline import PartitionedPattern
+    x = pattern.parts[0][3]
+    assert x in pattern.buffers[0]
+    allowed = host.clusters[0][:10]
+    narrowed = PartitionedPattern(pattern.h, pattern.parts, pattern.buffers,
+                                  {x: allowed}, pattern.params)
+    cfg = RGAConfig(mu=0.25)
+    embedded = 0
+    for seed in range(40):
+        trial = run_pipeline_once(host, narrowed, cfg, 6, seed)
+        if trial.ok:
+            assert trial.phi[x] in allowed
+            embedded += 1
+        else:
+            assert trial.fail_stage.startswith("buffers[")
+    assert embedded >= 30
+
+
+def test_completion_restriction_without_candidates_is_a_hall_failure():
+    # restrict a buffer vertex to one host vertex that the greedy stage has
+    # already used: its row of F_i is empty, so part 0 has no perfect matching
+    host, pattern = small_matching_setup()
+    from spanembed.pipeline import PartitionedPattern
+    x = pattern.parts[0][3]
+    cfg = RGAConfig(mu=0.25)
+    seen = 0
+    for seed in range(10):
+        rga = rga_embed(host, pattern, cfg, seed)
+        if not (rga.ok and x in rga.buffer_sets[0]):
+            continue
+        taken = min(v for y, v in rga.phi.items() if pattern.part_of[y] == 0)
+        narrowed = PartitionedPattern(pattern.h, pattern.parts, pattern.buffers,
+                                      {x: [taken]}, pattern.params)
+        assert rga_embed(host, narrowed, cfg, seed) == rga
+        done = complete_with_buffers(host, narrowed, rga, cfg, c=6, seed=seed)
+        assert not done.ok and done.fail_part == 0
+        assert x in done.hall_witness
+        seen += 1
+    assert seen >= 3

@@ -1,7 +1,12 @@
 import itertools
 import math
+import random
+
+import networkx as nx
 import pytest
 
+from conftest import random_graph
+from spanembed import robustness
 from spanembed.density import max_one_density
 from spanembed.errors import InvalidArgumentError
 from spanembed.graphs import (
@@ -10,9 +15,11 @@ from spanembed.graphs import (
     complete_multipartite_graph,
     cycle_graph,
     disjoint_union,
+    is_valid_embedding,
     path_graph,
 )
 from spanembed.robustness import (
+    _greedy_matching,
     ThresholdScan,
     clique_factor_pattern,
     contains_spanning,
@@ -82,6 +89,28 @@ def test_contains_matches_permutation_oracle_small():
             assert all(gp.has_edge(phi[u], phi[v]) for u, v in h.edges)
 
 
+def test_matching_containment_with_isolated_pattern_vertices():
+    # k disjoint edges plus n - 2k isolated vertices embed iff Gp has a
+    # matching of k edges; networkx's blossom is the oracle
+    decided_by_edmonds = 0
+    for seed in range(40):
+        n = random.Random(seed).randint(6, 30)
+        gp = random_graph(n, 1.5 / n, seed)
+        ng = nx.Graph()
+        ng.add_nodes_from(range(n))
+        ng.add_edges_from(gp.edges)
+        best = len(nx.max_weight_matching(ng, maxcardinality=True))
+        greedy = sum(u < w for u, w in enumerate(_greedy_matching(gp)))
+        for k in range(1, n // 2 + 1):
+            h = Graph(n, [(2 * i, 2 * i + 1) for i in range(k)])
+            got = contains_spanning(gp, h)
+            assert got.yes == (k <= best), (seed, k)
+            if got.yes:
+                assert is_valid_embedding(h, gp, got.embedding)
+                decided_by_edmonds += greedy < k
+    assert decided_by_edmonds >= 10
+
+
 def test_contains_clique_factor_special_case():
     host = complete_multipartite_graph([4, 4, 4, 4])
     h = clique_factor_pattern(16, 4)
@@ -146,6 +175,22 @@ def test_threshold_scan_rows_and_monotone_coupling():
     assert rows[-1].fraction == 1.0
     fracs = [r.fraction for r in rows]
     assert fracs == sorted(fracs)  # exact coupling makes this certain
+
+
+def test_threshold_scan_replays_matching_rows(monkeypatch):
+    # a grid across the perfect-matching threshold of the overlap host, where
+    # the greedy matching often falls short; counts recorded when networkx's
+    # blossom decided those samples
+    calls = []
+    matcher = robustness.edmonds_matching
+    monkeypatch.setattr(robustness, "edmonds_matching",
+                        lambda *args: calls.append(1) or matcher(*args))
+    scan = ThresholdScan(dirac_overlap_host(40), perfect_matching_pattern(40),
+                         (0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0), trials=40, seed=2025)
+    rows = threshold_scan(scan)
+    assert [(r.successes, r.timeouts) for r in rows] == [
+        (0, 0), (0, 0), (6, 0), (24, 0), (37, 0), (40, 0), (40, 0)]
+    assert len(calls) >= 50
 
 
 def test_threshold_scan_validates_grid():

@@ -234,12 +234,12 @@ def cmd_pipeline(args) -> int:
             raise InvalidArgumentError(f"line {conf[key][0]}: {key} = {value} must be >= {low}")
     if r % (delta + 1):
         raise InvalidArgumentError(f"r = {r} must be a multiple of delta+1 = {delta + 1}")
+    cfg = RGAConfig(mu=mu, zeta=zeta, theta=theta)
     blocks = r // (delta + 1)
     rgraph = disjoint_union(*[complete_graph(delta + 1) for _ in range(blocks)])
     host = generate_regular_host(rgraph, rgraph, m, d, seed)
     pattern = partition_pattern(clique_factor_pattern(r * m, delta + 1), host, None,
                                 alpha=mu, seed=child_seed(seed, 1))
-    cfg = RGAConfig(mu=mu, zeta=zeta, theta=theta)
     rows = []
     for t in range(trials):
         trial = run_pipeline_once(host, pattern, cfg, c, child_seed(seed, t))

@@ -427,6 +427,8 @@ class RGAConfig:
             raise InvalidArgumentError(f"mu must lie in (0,1), got {self.mu}")
         if not 0 < self.zeta <= 1:
             raise InvalidArgumentError(f"zeta must lie in (0,1], got {self.zeta}")
+        if self.theta is not None and not 0 <= self.theta <= 1:
+            raise InvalidArgumentError(f"theta must lie in [0,1] or be unset, got {self.theta}")
 
     @property
     def floor_fraction(self) -> float:

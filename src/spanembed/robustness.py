@@ -3,15 +3,25 @@
 G(p) keeps each host edge independently with probability p; a scan
 reuses one trial seed across its whole p-grid, so the kept edge sets
 are nested and containment is exactly monotone along the grid (shared
-uniform per edge).  Containment of a spanning pattern is decided
-exactly by a budgeted backtracking search, with two special cases:
+uniform per edge).  A trial sorts its uniforms once, and each G(p) is
+a prefix of that edge order.  Containment of a spanning pattern is
+decided exactly by a budgeted backtracking search, with two special
+cases:
 
 * matchings (maximum degree one) in polynomial time: H embeds iff Gp
   has a matching with as many edges as H.  A greedy matching in vertex
   order settles most samples; when it falls short, Edmonds' blossom
   algorithm (``matching.edmonds_matching``), warm-started from the
   greedy matching, grows it to a maximum matching;
-* clique factors by exact cover over cliques.
+* clique factors by exact cover over cliques.  Each search node covers
+  its lowest uncovered vertex v; every vertex below v is covered
+  already, so v is the least vertex of any clique that can cover it.
+  The r-cliques with least vertex v are listed once per search, by a
+  walk over adjacency bitmasks, and a node keeps those that miss the
+  covered set.
+
+The general search keeps candidate sets as bitmasks too: a pattern
+vertex of degree d starts from the host vertices of degree at least d.
 
 Timeouts are first-class results, never coerced to no.
 
@@ -24,6 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .density import max_one_density
 from .errors import InternalInvariantError, InvalidArgumentError
@@ -148,11 +160,20 @@ def _clique_factor_shape(h: Graph) -> int | None:
 
 
 def _contains_clique_factor(gp: Graph, h: Graph, r: int, budget: int) -> ContainVerdict:
-    """Exact cover of V(Gp) by disjoint r-cliques, found by backtracking."""
+    """Exact cover of V(Gp) by disjoint r-cliques, found by backtracking.
+
+    Each node branches on its lowest uncovered vertex v.  Every vertex
+    below v is already covered, so a clique that covers v without
+    meeting ``covered`` has v as its least vertex: the node's options
+    are the entries of ``lowest[v]``, the r-cliques listed from v on its
+    first visit, whose masks miss ``covered``.  Filtering keeps their
+    ascending order, so the cache leaves the search tree unchanged.
+    """
     n = gp.n
     nodes = 0
     full = (1 << n) - 1
     chosen: list[tuple[int, ...]] = []
+    lowest: list[list[tuple[tuple[int, ...], int]] | None] = [None] * n
 
     def extend(covered: int) -> str:
         nonlocal nodes
@@ -161,10 +182,16 @@ def _contains_clique_factor(gp: Graph, h: Graph, r: int, budget: int) -> Contain
             return TIMEOUT
         if covered == full:
             return YES
-        v = bits(~covered & full)[0]
-        for clique in _cliques_through(gp, v, r, covered):
+        rest = ~covered & full
+        v = (rest & -rest).bit_length() - 1
+        options = lowest[v]
+        if options is None:
+            options = lowest[v] = [(c, mask_of(c)) for c in _cliques_from(gp, v, r)]
+        for clique, mask in options:
+            if mask & covered:
+                continue
             chosen.append(clique)
-            res = extend(covered | mask_of(clique))
+            res = extend(covered | mask)
             if res != NO:
                 return res
             chosen.pop()
@@ -181,20 +208,29 @@ def _contains_clique_factor(gp: Graph, h: Graph, r: int, budget: int) -> Contain
     return ContainVerdict(YES, phi, nodes_used=nodes)
 
 
-def _cliques_through(gp: Graph, v: int, r: int, covered: int):
-    """All r-cliques containing v avoiding covered vertices, ascending."""
-    avail = gp.adj[v] & ~covered
+def _cliques_from(gp: Graph, v: int, r: int) -> list[tuple[int, ...]]:
+    """The r-cliques of Gp whose least vertex is v, in ascending order (r >= 2)."""
+    adj = gp.adj
+    clique = [v] * r
     out = []
 
-    def grow(clique: list[int], common: int, start_bit: int):
-        if len(clique) == r:
-            out.append(tuple(clique))
+    def grow(depth: int, common: int) -> None:
+        # common: the vertices above clique[depth - 1] adjacent to all of clique[:depth]
+        if depth == r - 1:
+            while common:
+                low = common & -common
+                clique[depth] = low.bit_length() - 1
+                out.append(tuple(clique))
+                common ^= low
             return
-        m = common & ~((1 << start_bit) - 1)
-        for u in bits(m):
-            grow(clique + [u], common & gp.adj[u], u + 1)
+        while common:
+            low = common & -common
+            u = low.bit_length() - 1
+            common ^= low
+            clique[depth] = u
+            grow(depth + 1, common & adj[u])
 
-    grow([v], avail, 0)
+    grow(1, adj[v] >> (v + 1) << (v + 1))
     return out
 
 
@@ -211,6 +247,9 @@ def _contains_backtracking(gp: Graph, h: Graph, budget: int) -> ContainVerdict:
 
     # neighbours of each h-vertex that come earlier in the order
     earlier = [[y for y in bits(h.adj[x]) if pos[y] < pos[x]] for x in range(n)]
+    # host vertices whose degree admits x, one mask per distinct pattern degree
+    deg_masks = {d: mask_of(v for v in range(gp.n) if gp_deg[v] >= d) for d in set(h_deg)}
+    admits = [deg_masks[h_deg[x]] for x in range(n)]
 
     def place(i: int) -> str:
         nonlocal nodes, used
@@ -220,18 +259,18 @@ def _contains_backtracking(gp: Graph, h: Graph, budget: int) -> ContainVerdict:
         if nodes > budget:
             return TIMEOUT
         x = order[i]
-        cand = ~used & ((1 << gp.n) - 1)
+        cand = admits[x] & ~used
         for y in earlier[x]:
             cand &= gp.adj[phi[y]]
-        for v in bits(cand):
-            if gp_deg[v] < h_deg[x]:
-                continue
-            phi[x] = v
-            used |= 1 << v
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            phi[x] = low.bit_length() - 1
+            used |= low
             res = place(i + 1)
             if res != NO:
                 return res
-            used &= ~(1 << v)
+            used ^= low
             phi[x] = -1
         return NO
 
@@ -297,6 +336,8 @@ class ThresholdScan:
             raise InvalidArgumentError("p-grid must be strictly increasing")
         if self.trials < 1:
             raise InvalidArgumentError(f"trials must be >= 1, got {self.trials}")
+        if self.budget < 1:
+            raise InvalidArgumentError(f"budget must be >= 1, got {self.budget}")
 
 
 @dataclass(frozen=True)
@@ -328,6 +369,10 @@ def threshold_scan(scan: ThresholdScan) -> list[ScanRow]:
     edge sets are nested in p; containment is then monotone and any
     decrease across a coupled pair is a hard error.  Timeouts beyond
     20% of trials flag the row as unreliable.
+
+    A trial sorts its edge uniforms once: G(p) keeps the edges whose
+    uniform lies below p, which is the prefix of that order whose
+    length ``searchsorted`` counts.
     """
     m = len(scan.host.edges)
     successes = [0] * len(scan.p_grid)
@@ -335,9 +380,12 @@ def threshold_scan(scan: ThresholdScan) -> list[ScanRow]:
     edges = scan.host.sorted_edges()
     for t in range(scan.trials):
         uniforms = np_rng(child_seed(scan.seed, t)).random(m)
+        order = np.argsort(uniforms)
+        ranked = [edges[i] for i in order.tolist()]
+        cuts = np.searchsorted(uniforms[order], scan.p_grid).tolist()
         prev_yes = False
         for gi, p in enumerate(scan.p_grid):
-            gp = Graph(scan.host.n, [e for e, u in zip(edges, uniforms) if u < p])
+            gp = Graph(scan.host.n, ranked[:cuts[gi]])
             verdict = contains_spanning(gp, scan.pattern, scan.budget)
             if verdict.kind == TIMEOUT:
                 timeouts[gi] += 1
@@ -367,6 +415,9 @@ def scan_thm91_grid(delta: int, n: int, gamma: float, seed: int,
     reports the frequency of degree-deficient vertices against the
     hypergeometric tail bound.
     """
+    if not 0 < gamma < 2:
+        raise InvalidArgumentError(f"gamma must lie in (0,2), so that eps = gamma/2 lies "
+                                   f"in (0,1), got {gamma}")
     if delta != 2:
         raise InvalidArgumentError("exact factor scanning is desk-sized only for delta = 2")
     if n > 16:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanembed import robustness
 from spanembed.cli import main
 from spanembed.graphs import Graph, complete_graph, cycle_graph, format_graph
 from spanembed.spread import FBInstance, FBParams, format_fb_instance
@@ -143,6 +144,17 @@ def test_scan_thm91_subcommand(capsys):
     assert "bad-vertex" in out
 
 
+def test_scan_thm91_bad_gamma_is_exit_2(capsys, monkeypatch):
+    # eps = gamma/2 must lie in (0,1): a bad gamma is refused before any scan runs
+    scans = []
+    monkeypatch.setattr(robustness, "threshold_scan", lambda scan: scans.append(scan) or [])
+    for gamma in ("nan", "inf", "-inf", "-0.5", "0", "2", "5"):
+        assert main(["scan-thm91", "--n", "12", f"--gamma={gamma}", "--trials", "2"]) == 2, gamma
+        captured = capsys.readouterr()
+        assert "gamma" in captured.err and captured.out == ""
+    assert scans == []
+
+
 def test_unknown_event_is_exit_2(files):
     write, _ = files
     params = FBParams(d=0.8, b=1, rho=0.1, mu=0.25, delta=2)
@@ -188,6 +200,11 @@ def test_bad_config_is_exit_2(files, capsys):
         ("pipeline", pipe.replace("delta 2", "delta -1"), "line 1"),
         ("pipeline", pipe.replace("trials 25", "trials -3"), "line 7"),
         ("scan", scan + "trials -3\n", "trials must be >= 1"),
+        ("scan", scan + "budget -4\n", "budget must be >= 1"),
+        ("scan", scan + "budget 0\n", "budget must be >= 1"),
+        ("pipeline", pipe + "theta nan\n", "theta must lie in [0,1]"),
+        ("pipeline", pipe + "theta inf\n", "theta must lie in [0,1]"),
+        ("pipeline", pipe + "theta -1\n", "theta must lie in [0,1]"),
     ]:
         cfg = write("bad.cfg", text)
         assert main([command, "--config", cfg]) == 2, (command, text)
@@ -275,7 +292,7 @@ def scan_config(draw):
 def cli_case(draw):
     """(argv, files); an @ in either stands for the directory the files are written to."""
     kind = draw(st.sampled_from(["m1", "embed-switch", "equitable", "clique-factor",
-                                 "spread-matching", "scan"]))
+                                 "spread-matching", "scan", "scan-thm91"]))
     files = {"h": draw(GRAPHS)}
     seed = ["--seed", draw(num(0, 30))]
     if kind == "m1":
@@ -300,10 +317,15 @@ def cli_case(draw):
                 "--c", draw(num(0, 4)), *seed]
         for spec in draw(st.lists(EVENTS, max_size=2)):
             argv += ["--event", spec]
-    else:
+    elif kind == "scan":
         files["p"] = draw(GRAPHS)
         files["cfg"] = draw(scan_config())
         argv = ["scan", "--config", "@cfg", "--trials", draw(num(1, 5))]
+    else:
+        # at most 3 trials: the mixture search runs on the default budget
+        gamma = st.one_of(st.sampled_from(["0.2", "nan", "inf", "-0.5", "5"]), SMALL.map(str))
+        argv = ["scan-thm91", "--n", draw(num(8, 16)), "--trials", str(draw(st.integers(-1, 3))),
+                "--gamma", draw(gamma), *seed]
     return argv, files
 
 

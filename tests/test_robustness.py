@@ -1,6 +1,9 @@
+import hashlib
 import itertools
+import json
 import math
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -19,6 +22,7 @@ from spanembed.graphs import (
     path_graph,
 )
 from spanembed.robustness import (
+    _cliques_from,
     _greedy_matching,
     ThresholdScan,
     clique_factor_pattern,
@@ -130,6 +134,57 @@ def test_contains_timeout_is_distinct():
     assert v.kind == "timeout"
 
 
+def _search_samples():
+    """Seeded G(p) samples of the triangle-factor, K4-factor and mixture set-ups."""
+    tri = clique_factor_pattern(30, 3)
+    for k in range(10):
+        host = random_min_degree_host(30, 20, seed=k)
+        for p in (0.4, 0.5, 0.6, 0.7, 0.8):
+            yield "tri", sample_gp(host, p, 100 * k + int(10 * p)), tri
+    k4 = clique_factor_pattern(24, 4)
+    for k in range(6):
+        host = random_min_degree_host(24, 18, seed=k)
+        for p in (0.5, 0.7, 0.85, 1.0):
+            yield "k4", sample_gp(host, p, 1000 + 100 * k + int(100 * p)), k4
+    for n in (12, 14, 16):
+        mix = mixture_pattern(n, 2)
+        for k in range(4):
+            host = random_min_degree_host(n, n - 4, seed=k)
+            for p in (0.4, 0.6, 0.8, 1.0):
+                yield "mix", sample_gp(host, p, 5000 + 100 * n + 10 * k + int(10 * p)), mix
+
+
+def test_containment_searches_replay():
+    # every verdict, embedding and node count of the exact-cover and general
+    # searches, pinned by digest: a change to the order in which cliques or
+    # candidates are tried moves nodes_used
+    verdicts = []
+    kinds = Counter()
+    for name, gp, h in _search_samples():
+        got = contains_spanning(gp, h, budget=3000)
+        if got.yes:
+            assert is_valid_embedding(h, gp, got.embedding)
+        kinds[name, got.kind] += 1
+        embedding = sorted(got.embedding.items()) if got.yes else None
+        verdicts.append([got.kind, embedding, got.nodes_used])
+    assert kinds == {("tri", "yes"): 36, ("tri", "no"): 7, ("tri", "timeout"): 7,
+                     ("k4", "yes"): 17, ("k4", "no"): 6, ("k4", "timeout"): 1,
+                     ("mix", "yes"): 35, ("mix", "no"): 3, ("mix", "timeout"): 10}
+    digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+    assert digest == "b3a26eb55498fabfe5fb3f7302cd16c6b3bef601337968cd293eb0e18baea0df"
+
+
+def test_cliques_from_lists_cliques_by_least_vertex():
+    for seed in range(12):
+        n = 9 + seed % 4
+        g = random_graph(n, 0.7, seed)
+        for r in (3, 4, 5):
+            for v in range(n):
+                want = [c for c in itertools.combinations(range(n), r) if c[0] == v
+                        and all(g.has_edge(a, b) for a, b in itertools.combinations(c, 2))]
+                assert _cliques_from(g, v, r) == want, (seed, r, v)
+
+
 def test_split_cliques_examples():
     h = disjoint_union(complete_graph(4), path_graph(3))
     s = split_cliques(h, 3)
@@ -193,6 +248,27 @@ def test_threshold_scan_replays_matching_rows(monkeypatch):
     assert len(calls) >= 50
 
 
+def test_threshold_scan_replays_triangle_factor_rows():
+    # a grid across the triangle-factor threshold of a near-extremal host,
+    # with a budget that times out some searches; rows recorded with the
+    # per-grid-point edge test and the per-node clique listing
+    scan = ThresholdScan(random_min_degree_host(30, 20, seed=4), clique_factor_pattern(30, 3),
+                         (0.35, 0.45, 0.55, 0.7, 1.0), trials=24, seed=77, budget=1500,
+                         kind="tri")
+    rows = threshold_scan(scan)
+    assert [(r.successes, r.timeouts, r.flag) for r in rows] == [
+        (0, 3, ""), (6, 14, "scan-unreliable"), (20, 4, ""), (24, 0, ""), (24, 0, "")]
+
+
+def test_threshold_scan_on_an_edgeless_host():
+    host = Graph(9, [])
+    for pattern, successes in ((clique_factor_pattern(9, 3), 0),
+                               (Graph(9, [(0, 1)]), 0),
+                               (Graph(9, []), 3)):
+        rows = threshold_scan(ThresholdScan(host, pattern, (0.5, 1.0), trials=3, seed=1))
+        assert [(r.successes, r.timeouts) for r in rows] == [(successes, 0)] * 2
+
+
 def test_threshold_scan_validates_grid():
     host = complete_graph(6)
     with pytest.raises(InvalidArgumentError):
@@ -202,6 +278,9 @@ def test_threshold_scan_validates_grid():
     for trials in (0, -3):
         with pytest.raises(InvalidArgumentError, match="trials"):
             ThresholdScan(host, perfect_matching_pattern(6), (0.5, 1.0), trials, 0)
+    for budget in (0, -4):
+        with pytest.raises(InvalidArgumentError, match="budget"):
+            ThresholdScan(host, perfect_matching_pattern(6), (0.5, 1.0), 5, 0, budget)
 
 
 def test_threshold_scan_flags_timeouts():

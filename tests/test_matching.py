@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import networkx as nx
@@ -12,6 +14,7 @@ from spanembed.errors import InvalidArgumentError, UnsupportedSizeError
 from spanembed.graphs import Graph, cycle_graph, disjoint_union, path_graph
 from spanembed.matching import UNMATCHED, edmonds_matching, hall_check, kuhn_matching
 from spanembed.robustness import _greedy_matching
+from spanembed.spread import FBInstance, FBParams, sample_coupled
 
 
 def permanent_positive(adj, n):
@@ -54,6 +57,26 @@ def test_hall_matches_permanent_oracle_random():
 def test_hall_requires_balance():
     with pytest.raises(InvalidArgumentError):
         hall_check(range(3), range(3, 5), [])
+
+
+def test_hall_check_replays_coupled_samples():
+    # sha256 of (satisfied, witness, matching_size) on 960 seeded coupled
+    # samples, recorded with the index-order augmenting-path matcher: C = 1
+    # at lam 10/20/40 on dense F, and C = 2 on a sparse F at lam 16.  The
+    # witness is the same for every maximum matching, so no matcher may move it.
+    params = FBParams(d=0.8, b=1, rho=0.1, mu=0.25, delta=2)
+    verdicts = []
+    for lam, p, c, samples in ((10, 0.8, 1, 300), (20, 0.8, 1, 300), (40, 0.8, 1, 300),
+                               (16, 0.25, 2, 60)):
+        adj = random_bipartite_adj(lam, lam, p, lam)
+        f = FBInstance(lam, [(a, b) for a in range(lam) for b in adj[a]], params)
+        for seed in range(samples):
+            z = sample_coupled(f, c, seed).z
+            v = hall_check(range(lam), range(lam, 2 * lam), [(a, lam + b) for a, b in sorted(z)])
+            verdicts.append([v.satisfied, v.witness, v.matching_size])
+    assert sum(not ok for ok, _, _ in verdicts) == 581
+    digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+    assert digest == "ba6a3b1f6ba549f1cc6b9757613e7da46e0c3a2d926f53f4005792e5b938c861"
 
 
 def test_kuhn_size_equals_scipy_maximum_matching():

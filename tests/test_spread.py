@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -42,6 +44,25 @@ def test_fb1_fails_on_sparse_vertex():
     f = FBInstance(6, [(0, 0)] + [(a, b) for a in range(1, 6) for b in range(6)], PARAMS)
     rep = check_fb_conditions(f)
     assert not rep.fb1_ok
+
+
+def test_fb_reports_replay():
+    # sha256 of 72 reports, recorded before FB1-FB3 were read off the matrix:
+    # FB3 exact at lam <= 14 and spot-checked above, with FB1, FB2 and FB3
+    # each passing and failing on both paths; below p = 0.9 the last B-vertex
+    # is isolated, which fails FB2
+    reports = []
+    for lam in (6, 9, 12, 14, 18, 30):
+        for p in (0.35, 0.6, 0.85, 0.95):
+            adj = random_bipartite_adj(lam, lam, p, 1000 * lam + int(100 * p))
+            edges = [(a, b) for a in range(lam) for b in adj[a] if b != lam - 1 or p > 0.9]
+            for d, b in ((0.8, 1), (1.0, 1), (0.9, 2)):
+                f = FBInstance(lam, edges, FBParams(d=d, b=b, rho=0.1, mu=0.25, delta=2))
+                r = check_fb_conditions(f, seed=lam + b, spot_samples=1000 if lam == 18 else 300)
+                reports.append([r.fb1_ok, r.fb2_ok, r.fb3_ok, r.fb3_exact, r.detail])
+    assert [sum(not r[k] for r in reports) for k in range(3)] == [36, 54, 38]
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == "fdb50293f50c6b6c4914c5fca71ed89c2dceb8d72abeb04b8f78d8ba650a1282"
 
 
 def test_coupled_sample_full_retention_when_c_equals_lam():

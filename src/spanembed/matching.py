@@ -1,14 +1,14 @@
 """Maximum matchings: one bipartite matcher, one general-graph matcher.
 
-The bipartite matcher is a plain augmenting-path scan in vertex order
-(Kuhn), a pure function of the edge set with no randomness of its own.
-The samplers use its matching as the canonical one, and ``hall_check``
-uses its size to decide Hall's condition on balanced bipartite graphs
-(perfect matching iff no deficient set).  On deficiency the witness is
-the set of A-vertices reachable by alternating paths from unmatched
-A-vertices; that set is the same for every maximum matching
-(Dulmage-Mendelsohn), so it does not depend on which maximum matching
-the scan finds.
+The bipartite matcher is scipy's Hopcroft-Karp ("An n^{5/2} algorithm
+for maximum matchings in bipartite graphs", 1973) on a boolean
+biadjacency matrix, a pure function of the matrix with no randomness of
+its own.  ``hall_check`` uses its size to decide Hall's condition on
+balanced bipartite graphs (perfect matching iff no deficient set).  On
+deficiency the witness is the set of A-vertices reachable by
+alternating paths from unmatched A-vertices; that set is the same for
+every maximum matching (Dulmage-Mendelsohn), so it does not depend on
+which maximum matching the matcher finds.
 
 The general-graph matcher is Edmonds' cardinality blossom algorithm
 ("Paths, trees, and flowers", 1965) on neighbour bitmasks, grown from a
@@ -21,41 +21,30 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
+
 from .errors import InternalInvariantError, InvalidArgumentError, UnsupportedSizeError
 from .graphs import bits
 
 UNMATCHED = -1
 
 
-def kuhn_matching(n_left: int, n_right: int, adj: Sequence[Sequence[int]]) -> tuple[int, list[int], list[int]]:
-    """Deterministic augmenting-path matching, vertices processed in index order.
+def bipartite_matching(z: np.ndarray) -> np.ndarray:
+    """Maximum matching of a boolean biadjacency matrix: row a is matched to column mate[a].
 
-    The search recurses once per augmenting-path step, so a path longer
-    than the interpreter's recursion limit raises UnsupportedSizeError.
+    Unmatched rows hold UNMATCHED.  The CSR structure is read off
+    ``np.nonzero`` directly, with the int32 indices scipy would convert
+    to; converting the dense matrix costs more than the matching itself.
     """
-    pair_l = [UNMATCHED] * n_left
-    pair_r = [UNMATCHED] * n_right
-
-    def try_augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if seen[v]:
-                continue
-            seen[v] = True
-            if pair_r[v] == UNMATCHED or try_augment(pair_r[v], seen):
-                pair_l[u] = v
-                pair_r[v] = u
-                return True
-        return False
-
-    size = 0
-    try:
-        for u in range(n_left):
-            if try_augment(u, [False] * n_right):
-                size += 1
-    except RecursionError:
-        raise UnsupportedSizeError(f"an augmenting path on {n_left} x {n_right} sides "
-                                   "is deeper than the recursion limit") from None
-    return size, pair_l, pair_r
+    if z.size > np.iinfo(np.int32).max:
+        raise UnsupportedSizeError(f"a {z.shape[0]} x {z.shape[1]} matrix overflows int32 indices")
+    cols = np.nonzero(z)[1].astype(np.int32)
+    indptr = np.zeros(z.shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(z, axis=1), out=indptr[1:])
+    graph = csr_array((np.ones(len(cols), dtype=bool), cols, indptr), shape=z.shape)
+    return maximum_bipartite_matching(graph, perm_type="column")
 
 
 @dataclass(frozen=True)
@@ -70,9 +59,9 @@ def hall_check(a_side: Iterable[int], b_side: Iterable[int],
     """Decide Hall's condition for A into B via maximum matching.
 
     ``edges`` are (a, b) pairs in the original vertex labels.  Sides
-    must be balanced (the use case is perfect matchings).  On failure
-    the witness is a set S in A with |N(S)| < |S|, extracted from the
-    alternating reachability of the final matching.
+    must be disjoint and balanced (the use case is perfect matchings).
+    On failure the witness is a set S in A with |N(S)| < |S|, extracted
+    from the alternating reachability of the maximum matching.
     """
     aa = sorted(set(a_side))
     bb = sorted(set(b_side))
@@ -80,22 +69,29 @@ def hall_check(a_side: Iterable[int], b_side: Iterable[int],
         raise InvalidArgumentError(f"sides must balance, got {len(aa)} vs {len(bb)}")
     pos_a = {v: i for i, v in enumerate(aa)}
     pos_b = {v: i for i, v in enumerate(bb)}
-    adj: list[list[int]] = [[] for _ in aa]
+    both = pos_a.keys() & pos_b.keys()
+    if both:
+        raise InvalidArgumentError(f"sides must be disjoint, both contain {sorted(both)}")
+    z = np.zeros((len(aa), len(bb)), dtype=bool)
     for a, b in edges:
         if a in pos_a and b in pos_b:
-            adj[pos_a[a]].append(pos_b[b])
+            z[pos_a[a], pos_b[b]] = True
         elif b in pos_a and a in pos_b:
-            adj[pos_a[b]].append(pos_b[a])
+            z[pos_a[b], pos_b[a]] = True
         else:
             raise InvalidArgumentError(f"edge ({a},{b}) does not join the two sides")
-    for lst in adj:
-        lst.sort()
-    size, pair_l, pair_r = kuhn_matching(len(aa), len(bb), adj)
+    mate = bipartite_matching(z)
+    size = int(np.count_nonzero(mate != UNMATCHED))
     if size == len(aa):
         return HallVerdict(True, None, size)
 
     # alternating BFS from unmatched A-vertices: reachable A is deficient
-    reach_a = [u for u in range(len(aa)) if pair_l[u] == UNMATCHED]
+    pair_r = [UNMATCHED] * len(bb)
+    for u, v in enumerate(mate.tolist()):
+        if v != UNMATCHED:
+            pair_r[v] = u
+    adj = [np.flatnonzero(row).tolist() for row in z]
+    reach_a = np.flatnonzero(mate == UNMATCHED).tolist()
     seen_a = set(reach_a)
     seen_b: set[int] = set()
     q = deque(reach_a)

@@ -4,17 +4,20 @@ Given a balanced bipartite candidate graph F on A and B with |A| = |B|
 = lam, the coupled sample is Z = Z1 union Z2 where Z1 keeps each edge
 of F independently with probability C/lam and Z2 gives every vertex C
 neighbour draws, uniform with replacement.  If Z satisfies Hall's
-condition, the canonical maximum matching of Z is a perfect matching of
-F whose per-edge inclusion probability inherits the O(C/lam) bound of
-Z; conditioning on a successful draw costs at most a factor two when
-the failure rate stays below one half.
+condition, a maximum matching of Z is a perfect matching of F whose
+per-edge inclusion probability inherits the O(C/lam) bound of Z, for
+the bound uses only that the matching lies inside Z; conditioning on a
+successful draw costs at most a factor two when the failure rate stays
+below one half.  The sampler matches Z under a fresh random relabelling
+of both sides, so that no fixed vertex order decides which of Z's
+perfect matchings comes out and the vertex spread stays flat.
 
 F, Z1 and Z2 are lam x lam boolean matrices, row a and column b
 standing for the edge (a, b).  Row-major order of the nonzero entries
 is sorted edge order, and each row (column) lists a vertex's
 neighbours in ascending order, so the sampler draws on the matrix
-directly; the edge sets and adjacency lists are views derived from it
-on first use, for callers that read edges.
+directly; the edge set is a view derived from it on first use, for
+callers that read edges.
 
 The FB1-FB3 parameter record bounds degrees and expansion of F:
 
@@ -24,7 +27,9 @@ The FB1-FB3 parameter record bounds degrees and expansion of F:
   vertices of A have fewer than (1/2) d^b |W| neighbours in W.
 
 FB3 is exhaustively checkable only for lam <= 14; above that it is
-spot-checked on sampled W.
+spot-checked on sampled W.  Degrees are row and column sums of F, and
+the degrees of all A-vertices into all candidate sets W come from one
+matrix product.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .graphs import parse_int
-from .matching import UNMATCHED, hall_check, kuhn_matching
+from .matching import UNMATCHED, bipartite_matching, hall_check
 from .seeds import count_trials, fresh_seed, np_rng, py_rng
 from .tailbounds import confidence_radius
 
@@ -71,23 +76,15 @@ def _edge_set(mat: np.ndarray) -> frozenset[BipEdge]:
     return frozenset(zip(rows.tolist(), cols.tolist()))
 
 
-def _adjacency(mat: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Ascending column indices of every row."""
-    cols = np.nonzero(mat)[1].tolist()
-    ends = np.count_nonzero(mat, axis=1).cumsum().tolist()
-    return tuple(tuple(cols[start:end]) for start, end in zip([0] + ends[:-1], ends))
-
-
 class FBInstance:
     """Balanced bipartite candidate graph with its FB parameter record.
 
     ``edges`` is either an iterable of (a, b) pairs or a lam x lam
     boolean matrix, which is kept as ``mat`` without a copy.  The edge
-    set ``edges`` and the sorted adjacency lists ``adj_a`` and ``adj_b``
-    are computed from ``mat`` once, on first use.
+    set ``edges`` is computed from ``mat`` once, on first use.
     """
 
-    __slots__ = ("lam", "mat", "params", "_edges", "_adj_a", "_adj_b")
+    __slots__ = ("lam", "mat", "params", "_edges")
 
     def __init__(self, lam: int, edges: Iterable[BipEdge] | np.ndarray, params: FBParams):
         if lam < 0:
@@ -106,31 +103,13 @@ class FBInstance:
         self.lam = lam
         self.mat = mat
         self.params = params
-        self._edges = self._adj_a = self._adj_b = None
+        self._edges = None
 
     @property
     def edges(self) -> frozenset[BipEdge]:
         if self._edges is None:
             self._edges = _edge_set(self.mat)
         return self._edges
-
-    @property
-    def adj_a(self) -> tuple[tuple[int, ...], ...]:
-        if self._adj_a is None:
-            self._adj_a = _adjacency(self.mat)
-        return self._adj_a
-
-    @property
-    def adj_b(self) -> tuple[tuple[int, ...], ...]:
-        if self._adj_b is None:
-            self._adj_b = _adjacency(self.mat.T)
-        return self._adj_b
-
-    def degree_a(self, a: int) -> int:
-        return len(self.adj_a[a])
-
-    def degree_b(self, b: int) -> int:
-        return len(self.adj_b[b])
 
     def __repr__(self):
         return f"FBInstance(lam={self.lam}, m={int(self.mat.sum())})"
@@ -151,51 +130,47 @@ class FBReport:
 
 def check_fb_conditions(f: FBInstance, seed: int = 0,
                         spot_samples: int = FB3_SPOT_SAMPLES) -> FBReport:
-    """Verify FB1-FB3; FB3 exhaustively for lam <= 14, else spot-checked."""
+    """Verify FB1-FB3; FB3 exhaustively for lam <= 14, else spot-checked.
+
+    The exact check takes every W of size at least (rho/mu) lam in
+    increasing bitmask order (bit b for vertex b); the spot check draws
+    ``spot_samples`` sets from ``py_rng(seed)``, each a size
+    ``randint(ceil((rho/mu) lam), lam)`` and then ``sample(range(lam),
+    size)``.  ``detail`` names the first W that fails FB3.
+    """
+    if spot_samples < 0:
+        raise InvalidArgumentError(f"spot_samples must be >= 0, got {spot_samples}")
     p = f.params
     lam = f.lam
     fb1_floor = 0.5 * (p.d ** p.b) * lam
     fb2_floor = ((p.d ** p.delta) / 100.0) ** p.b * lam
-    fb1 = all(f.degree_a(a) >= fb1_floor for a in range(lam))
-    fb2 = all(f.degree_b(b) >= fb2_floor for b in range(lam))
+    fb1 = bool((f.mat.sum(axis=1) >= fb1_floor).all())
+    fb2 = bool((f.mat.sum(axis=0) >= fb2_floor).all())
 
     ratio = p.rho / p.mu
     w_floor = ratio * lam
     bad_cap = ratio * lam
-
-    def bad_count(w_mask: int, w_size: int) -> int:
-        need = 0.5 * (p.d ** p.b) * w_size
-        bad = 0
-        for a in range(lam):
-            deg = sum(1 for b in f.adj_a[a] if (w_mask >> b) & 1)
-            if deg < need:
-                bad += 1
-        return bad
-
     exact = lam <= FB3_EXACT_LIMIT
-    fb3 = True
-    detail = ""
     if exact:
-        for w_mask in range(1, 1 << lam):
-            w_size = w_mask.bit_count()
-            if w_size < w_floor:
-                continue
-            if bad_count(w_mask, w_size) > bad_cap:
-                fb3 = False
-                detail = f"FB3 fails at |W|={w_size}"
-                break
+        masks = np.arange(1, 1 << lam)
+        ws = ((masks[:, None] >> np.arange(lam)) & 1).astype(float)
+        ws = ws[ws.sum(axis=1) >= w_floor]
     else:
         rng = py_rng(seed)
         lo = max(1, int(-(-w_floor // 1)))
-        for _ in range(spot_samples):
+        ws = np.zeros((spot_samples, lam))
+        for w in ws:
             w_size = rng.randint(lo, lam)
-            w_mask = 0
-            for b in rng.sample(range(lam), w_size):
-                w_mask |= 1 << b
-            if bad_count(w_mask, w_size) > bad_cap:
-                fb3 = False
-                detail = f"FB3 fails on sampled |W|={w_size}"
-                break
+            w[rng.sample(range(lam), w_size)] = 1
+    w_sizes = ws.sum(axis=1)
+    degrees = f.mat.astype(float) @ ws.T     # of every a into every W; small integers, exact
+    bad = np.count_nonzero(degrees < 0.5 * (p.d ** p.b) * w_sizes, axis=0)
+    failing = np.flatnonzero(bad > bad_cap)
+    fb3 = failing.size == 0
+    detail = ""
+    if not fb3:
+        where = "at" if exact else "on sampled"
+        detail = f"FB3 fails {where} |W|={int(w_sizes[failing[0]])}"
     return FBReport(fb1, fb2, fb3, exact, detail)
 
 
@@ -311,32 +286,36 @@ class MatchingDraw:
 
 def canonical_matching(lam: int, z_edges: Iterable[BipEdge] | np.ndarray
                        ) -> tuple[int, frozenset[BipEdge]]:
-    """Deterministic maximum matching of an edge set: index-order augmenting paths.
+    """Deterministic maximum matching of an edge set: ``bipartite_matching`` of its matrix.
 
     ``z_edges`` is an iterable of (a, b) pairs or a lam x lam boolean matrix.
     """
     if isinstance(z_edges, np.ndarray):
-        adj = _adjacency(z_edges)
+        z = z_edges
     else:
-        adj = [[] for _ in range(lam)]
+        z = np.zeros((lam, lam), dtype=bool)
         for a, b in z_edges:
-            adj[a].append(b)
-        for lst in adj:
-            lst.sort()
-    size, pair_l, _ = kuhn_matching(lam, lam, adj)
-    m = frozenset((a, pair_l[a]) for a in range(lam) if pair_l[a] != UNMATCHED)
-    return size, m
+            z[a, b] = True
+    mate = bipartite_matching(z).tolist()
+    m = frozenset((a, b) for a, b in enumerate(mate) if b != UNMATCHED)
+    return len(m), m
 
 
 def sample_spread_matching(f: FBInstance, c: int, max_resamples: int, seed: int) -> MatchingDraw:
-    """Draw coupled samples until one satisfies Hall, then fix its matching.
+    """Draw coupled samples until one satisfies Hall, then match it under a random relabelling.
 
-    The canonical matching is a pure function of Z, so all randomness
-    lives in the coupled draw.  Resampling beyond the first draw is a
-    practical extension; the spread suites verify the bound under the
-    actual resampling policy rather than assuming the analysis factor.
+    The generator ``py_rng(seed)`` gives, for each draw in turn: the
+    seed of its coupled sample Z; then ``randbytes(16 * lam)``, read as
+    2 lam little-endian 64-bit keys, whose first and second halves
+    stably argsort to a permutation pa of A and pb of B.  The draw takes
+    the canonical matching of the relabelled ``Z[pa][:, pb]`` and maps
+    each pair (i, j) back to (pa[i], pb[j]), so the matching lies in Z.
+    Resampling beyond the first draw is a practical extension; the
+    spread suites verify the bound under the actual resampling policy
+    rather than assuming the analysis factor.
     """
-    if f.lam == 0:
+    lam = f.lam
+    if lam == 0:
         return MatchingDraw(True, frozenset(), 1)
     rng = py_rng(seed)
     draws = 0
@@ -344,11 +323,14 @@ def sample_spread_matching(f: FBInstance, c: int, max_resamples: int, seed: int)
     while draws <= max_resamples:
         z = sample_coupled(f, c, fresh_seed(rng)).z_mat
         draws += 1
-        size, matching = canonical_matching(f.lam, z)
-        if size == f.lam:
-            return MatchingDraw(True, matching, draws)
-    verdict = hall_check(range(f.lam), range(f.lam, 2 * f.lam),
-                         [(a, f.lam + b) for a, b in _edge_set(z)])
+        keys = np.frombuffer(rng.randbytes(16 * lam), dtype="<u8").reshape(2, lam)
+        pa, pb = np.argsort(keys, kind="stable")
+        size, matching = canonical_matching(lam, z[pa][:, pb])
+        if size == lam:
+            pa, pb = pa.tolist(), pb.tolist()
+            return MatchingDraw(True, frozenset((pa[i], pb[j]) for i, j in matching), draws)
+    verdict = hall_check(range(lam), range(lam, 2 * lam),
+                         [(a, lam + b) for a, b in _edge_set(z)])
     return MatchingDraw(False, None, draws, verdict.witness)
 
 

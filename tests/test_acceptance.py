@@ -252,9 +252,9 @@ def test_criterion_5_spread_matching():
 
 
 def _vertex_spread_probes(host, pattern, count, seed):
-    """Deterministic probe set covering the concentration hot spots.
+    """Deterministic probe set covering the possible concentration hot spots.
 
-    The canonical matching's index cascade concentrates on (extreme
+    A matcher that follows a fixed vertex order concentrates on (extreme
     buffer vertex, extreme free slot) pairs, so those all go in, then
     seeded main/buffer pairs fill up the rest.
     """

@@ -6,13 +6,17 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from conftest import random_bipartite_adj, random_graph
 from spanembed.errors import InvalidArgumentError, UnsupportedSizeError
 from spanembed.graphs import Graph, cycle_graph, disjoint_union, path_graph
-from spanembed.matching import UNMATCHED, edmonds_matching, hall_check, kuhn_matching
+from spanembed.matching import (
+    UNMATCHED,
+    HallVerdict,
+    bipartite_matching,
+    edmonds_matching,
+    hall_check,
+)
 from spanembed.robustness import _greedy_matching
 from spanembed.spread import FBInstance, FBParams, sample_coupled
 
@@ -79,38 +83,58 @@ def test_hall_check_replays_coupled_samples():
     assert digest == "ba6a3b1f6ba549f1cc6b9757613e7da46e0c3a2d926f53f4005792e5b938c861"
 
 
-def test_kuhn_size_equals_scipy_maximum_matching():
-    # scipy's Hopcroft-Karp serves only as an independent reference here
-    for seed in range(20):
-        na = random.Random(seed).randint(3, 12)
-        adj = random_bipartite_adj(na, na, 0.4, seed)
-        size, pair_l, _ = kuhn_matching(na, na, adj)
-        rows = [u for u in range(na) for _ in adj[u]]
-        cols = [v for u in range(na) for v in adj[u]]
-        biadj = csr_array((np.ones(len(rows)), (rows, cols)), shape=(na, na))
-        ref = maximum_bipartite_matching(biadj, perm_type="column")
-        assert size == int((ref >= 0).sum())
-        assert all(pair_l[u] == -1 or pair_l[u] in adj[u] for u in range(na))
+def test_hall_check_repeated_edges_and_empty_sides():
+    # verdicts recorded with the index-order augmenting-path matcher; an edge
+    # may repeat and may come in either orientation
+    assert hall_check([], [], []) == HallVerdict(True, None, 0)
+    edges = [(0, 3), (0, 3), (3, 1), (1, 3), (2, 5), (5, 2)]
+    assert hall_check(range(3), range(3, 6), edges) == HallVerdict(False, (0, 1), 2)
+    edges = [(0, 3), (0, 4), (4, 0), (1, 4), (1, 4), (2, 5), (2, 5)]
+    assert hall_check(range(3), range(3, 6), edges) == HallVerdict(True, None, 3)
 
 
-def test_kuhn_is_deterministic_function_of_edges():
-    adj = random_bipartite_adj(9, 9, 0.5, 3)
-    a = kuhn_matching(9, 9, adj)
-    b = kuhn_matching(9, 9, [list(x) for x in adj])
-    assert a == b
+def test_hall_check_rejects_overlapping_sides():
+    # a vertex on both sides would let the self-loop (1, 1) count as a matching edge
+    with pytest.raises(InvalidArgumentError, match="disjoint"):
+        hall_check([0, 1], [1, 2], [(1, 1), (0, 2)])
 
 
-def test_kuhn_recursion_overflow_is_unsupported_size():
-    # a_i-b_i, a_i-b_{i+1} and a_last-b_0: the last vertex augments along the whole chain
+def test_bipartite_matching_size_equals_networkx_oracle():
+    # networkx's Hopcroft-Karp on its own graph structure is the reference
+    for seed in range(40):
+        rng = random.Random(seed)
+        na, nb = rng.randint(0, 12), rng.randint(0, 12)
+        adj = random_bipartite_adj(na, nb, rng.choice((0.1, 0.25, 0.5)), seed)
+        z = np.zeros((na, nb), dtype=bool)
+        for u in range(na):
+            z[u, adj[u]] = True
+        mate = bipartite_matching(z)
+        ng = nx.Graph()
+        ng.add_nodes_from(range(na + nb))
+        ng.add_edges_from((u, na + v) for u in range(na) for v in adj[u])
+        ref = nx.bipartite.maximum_matching(ng, top_nodes=range(na))
+        matched = [u for u in range(na) if mate[u] != UNMATCHED]
+        assert len(matched) == len(ref) // 2, seed
+        assert all(z[u, mate[u]] for u in matched)
+        assert len({mate[u] for u in matched}) == len(matched)
+
+
+def test_bipartite_matching_refuses_int32_overflow():
+    # a read-only broadcast view: 2.5e9 entries without the memory behind them
+    z = np.broadcast_to(np.zeros(1, dtype=bool), (50_000, 50_000))
+    with pytest.raises(UnsupportedSizeError, match="int32"):
+        bipartite_matching(z)
+
+
+def test_hall_check_matches_a_1500_chain():
+    # a_i-b_i, a_i-b_{i+1} and a_last-b_0: an augmenting path runs along the
+    # whole chain, which the matcher follows without recursion
     n = 1500
-    adj = [[i, i + 1] for i in range(n - 1)] + [[0, n - 1]]
-    with pytest.raises(UnsupportedSizeError, match="1500 x 1500"):
-        kuhn_matching(n, n, adj)
-    edges = [(a, n + b) for a in range(n) for b in adj[a]]
-    with pytest.raises(UnsupportedSizeError):
-        hall_check(range(n), range(n, 2 * n), edges)
-    # short chains stay within the limit
-    assert kuhn_matching(50, 50, [[i, i + 1] for i in range(49)] + [[0, 49]])[0] == 50
+    edges = [(a, n + b) for a in range(n) for b in ((a, a + 1) if a < n - 1 else (0, a))]
+    assert hall_check(range(n), range(n, 2 * n), edges) == HallVerdict(True, None, n)
+    # without b_0's two edges the alternating paths from the unmatched vertex reach all of A
+    v = hall_check(range(n), range(n, 2 * n), [(a, b) for a, b in edges if b != n])
+    assert v == HallVerdict(False, tuple(range(n)), n - 1)
 
 
 # -- Edmonds on general graphs, networkx's blossom as the oracle ----------

@@ -28,7 +28,7 @@ from spanembed.robustness import clique_factor_pattern, perfect_matching_pattern
 K2 = complete_graph(2)
 K3 = complete_graph(3)
 # run_pipeline_once on triangle_setup(d=0.4), C=6, seeds 0..19
-DIGEST = "b13299fc768a612a8ad38241a3ecf25825e3e363f631cb1134ef94a5dfc8fdb1"
+DIGEST = "54dc0a5fb991bdd18cac2a8fbad347109c29b0c80276ae1441aafc4cffebeb47"
 
 
 def small_matching_setup(m=25, seed=3, alpha=0.3):
@@ -182,7 +182,7 @@ def test_completion_instances_follow_their_definition():
 
 def test_pipeline_trials_replay_bit_identical():
     # digest of 20 trials, four of which fail in buffer completion, recorded
-    # before the pipeline moved to boolean matrices
+    # with spread matchings taken on a randomly relabelled Z
     host, pattern = triangle_setup(d=0.4)
     cfg = RGAConfig(mu=0.25)
     digest = hashlib.sha256()
@@ -191,6 +191,20 @@ def test_pipeline_trials_replay_bit_identical():
         phi = None if trial.phi is None else sorted(trial.phi.items())
         digest.update(repr((trial.fail_stage, trial.rga_sizes, phi)).encode())
     assert digest.hexdigest() == DIGEST
+
+
+def test_vertex_spread_is_flat_on_extreme_buffer_slot_pairs():
+    # every (first or last buffer vertex, first or last cluster slot) pair:
+    # a uniform image would give n * P(phi(x) = v) = n / m = 3.  Measured
+    # 3.5 here; an index-order matcher on the unrelabelled Z gave 24.6, so
+    # the bound of 8 keeps twice the measured value and still tells them apart
+    host, pattern = triangle_setup(m=40)
+    probes = sorted({(x, v) for buf, cl in zip(pattern.buffers, host.clusters)
+                     for x in (min(buf), max(buf)) for v in (cl[0], cl[-1])})
+    report = estimate_vertex_spread(host, pattern, RGAConfig(mu=0.25), 8, probes,
+                                    trials=2000, seed=2025)
+    assert report.successes == 2000
+    assert host.g.n * max(e.hits for e in report.estimates) / report.successes <= 8.0
 
 
 def test_completion_with_vanishing_buffer_fraction():

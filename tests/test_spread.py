@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_bipartite_adj
 from spanembed.errors import InvalidArgumentError
+from spanembed.seeds import fresh_seed, py_rng
 from spanembed.spread import (
     FBInstance,
     FBParams,
@@ -44,6 +45,11 @@ def test_fb1_fails_on_sparse_vertex():
     f = FBInstance(6, [(0, 0)] + [(a, b) for a in range(1, 6) for b in range(6)], PARAMS)
     rep = check_fb_conditions(f)
     assert not rep.fb1_ok
+
+
+def test_fb_check_rejects_negative_spot_samples():
+    with pytest.raises(InvalidArgumentError, match="spot_samples"):
+        check_fb_conditions(complete_instance(20), spot_samples=-1)
 
 
 def test_fb_reports_replay():
@@ -107,7 +113,7 @@ def test_coupled_sample_stream_matches_per_vertex_loop():
         edges = [(a, b) for a in range(lam) for b in adj[a]
                  if a not in (0, 4) and b not in (lam - 1, 2)]
         f = FBInstance(lam, edges, PARAMS)
-        assert not f.adj_a[0] and not f.adj_b[lam - 1]
+        assert not f.mat[0].any() and not f.mat[:, lam - 1].any()
         for c in (1, 2, 3, 8, lam):
             for seed in range(30):
                 s = sample_coupled(f, c, seed)
@@ -117,9 +123,9 @@ def test_coupled_sample_stream_matches_per_vertex_loop():
 def test_instance_matrix_and_edge_list_agree():
     f = random_instance(7, 0.4, seed=9)
     g = FBInstance(7, f.mat.copy(), PARAMS)
-    assert g.edges == f.edges and g.adj_a == f.adj_a and g.adj_b == f.adj_b
-    assert all(b in f.adj_a[a] and a in f.adj_b[b] for a, b in f.edges)
-    assert sum(map(len, f.adj_a)) == len(f.edges) == int(f.mat.sum())
+    assert g.edges == f.edges and (g.mat == f.mat).all()
+    assert all(f.mat[a, b] for a, b in f.edges)
+    assert len(f.edges) == int(f.mat.sum())
     with pytest.raises(InvalidArgumentError):
         FBInstance(6, f.mat, PARAMS)                   # wrong shape
     with pytest.raises(InvalidArgumentError):
@@ -205,6 +211,26 @@ def test_sample_matching_row_stochastic_and_subset_of_z():
             counts[a, b] += 1
     # each row sums to the trial count exactly: one match per vertex
     assert (counts.sum(axis=1) == 600).all()
+
+
+def test_spread_matchings_are_perfect_inside_z_and_f():
+    # replay the documented stream: per draw a sample seed, then the
+    # relabelling's 16 lam random bytes, all from py_rng(seed)
+    f = random_instance(12, 0.6, seed=5)
+    resampled = 0
+    for seed in range(300):
+        draw = sample_spread_matching(f, 1, max_resamples=4, seed=seed)
+        if not draw.ok:
+            continue
+        rng = py_rng(seed)
+        for _ in range(draw.draws):
+            z = sample_coupled(f, 1, fresh_seed(rng)).z
+            rng.randbytes(16 * 12)
+        resampled += draw.draws > 1
+        assert len(draw.matching) == 12
+        assert {a for a, _ in draw.matching} == {b for _, b in draw.matching} == set(range(12))
+        assert draw.matching <= z <= f.edges
+    assert resampled >= 100
 
 
 def test_sample_matching_fails_with_isolated_vertex():

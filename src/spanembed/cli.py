@@ -1,9 +1,16 @@
 """Command-line surface.
 
-Subcommands: m1, embed-switch, equitable, clique-factor,
-spread-matching, pipeline, scan, scan-thm91.  Global flags --seed,
---trials, --out, --graph, --config apply where meaningful.  Exit
-codes: 0 success, 2 invalid input, 3 infeasible parameters, 4
+Each subcommand takes only the flags its body reads:
+
+- m1 --graph; equitable --graph k; clique-factor --graph r
+- embed-switch host pattern [--phi] [--seed] [--out]
+- spread-matching --instance [--c --d --b --rho --mu --delta --event]
+  [--seed] [--trials] [--out]
+- pipeline --config [--seed] [--out]; trials come from the config
+- scan --config [--seed] [--trials] [--out]; config keys override flags
+- scan-thm91 [--n] [--gamma] [--seed] [--trials] [--out]; delta is 2
+
+Exit codes: 0 success, 2 invalid input, 3 infeasible parameters, 4
 timeout-dominated scan.
 
 Config files are flat key-value text: one `key value` (or `key=value`)
@@ -37,6 +44,7 @@ from .pipeline import (
     run_pipeline_once,
 )
 from .robustness import (
+    DEFAULT_BUDGET,
     SCAN_COLUMNS,
     ThresholdScan,
     clique_factor_pattern,
@@ -301,7 +309,7 @@ def cmd_scan(args) -> int:
         raise InvalidArgumentError("scan config needs a pgrid line")
     scan = ThresholdScan(host, pattern, grid,
                          trials=config_value(conf, "trials", int, args.trials),
-                         seed=seed, budget=config_value(conf, "budget", int, 10_000_000))
+                         seed=seed, budget=config_value(conf, "budget", int, DEFAULT_BUDGET))
     rows = threshold_scan(scan)
     _emit_csv(args.out, SCAN_COLUMNS, [r.as_csv_row() for r in rows])
     if any(r.flag for r in rows):
@@ -310,8 +318,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_scan_thm91(args) -> int:
-    result = scan_thm91_grid(args.delta, args.n, args.gamma, args.seed,
-                             trials=args.trials)
+    result = scan_thm91_grid(2, args.n, args.gamma, args.seed, trials=args.trials)
     rows = [r.as_csv_row() for r in result["rows"]]
     rows.append(["bad-vertex", "", result["bad_vertex_samples"], "", "",
                  f"{result['bad_vertex_frequency']:.6f}",
@@ -326,34 +333,33 @@ def cmd_scan_thm91(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="spanembed", description=__doc__)
+    top = argparse.ArgumentParser(prog="spanembed", description=__doc__,
+                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, trials=True):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=1000)
+        if trials:
+            p.add_argument("--trials", type=int, default=1000)
         p.add_argument("--out", type=str, default=None, help="CSV output path")
 
     p = sub.add_parser("m1", help="exact maximum 1-density of a graph")
-    common(p)
     p.add_argument("--graph", required=True)
     p.set_defaults(func=cmd_m1)
 
     p = sub.add_parser("embed-switch", help="switching embedding extending a partial map")
-    common(p)
+    common(p, trials=False)
     p.add_argument("host")
     p.add_argument("pattern")
     p.add_argument("--phi", default=None, help="partial embedding file: 'x v' lines")
     p.set_defaults(func=cmd_embed_switch)
 
     p = sub.add_parser("equitable", help="equitable colouring into k independent sets")
-    common(p)
     p.add_argument("--graph", required=True)
     p.add_argument("k", type=int)
     p.set_defaults(func=cmd_equitable)
 
     p = sub.add_parser("clique-factor", help="K_r-factor covering all but at most r-1 vertices")
-    common(p)
     p.add_argument("--graph", required=True)
     p.add_argument("r", type=int)
     p.set_defaults(func=cmd_clique_factor)
@@ -372,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spread_matching)
 
     p = sub.add_parser("pipeline", help="toy-scale end-to-end embedding pipeline")
-    common(p)
+    common(p, trials=False)
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_pipeline)
 
@@ -383,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-thm91", help="two-grid mixture scan with tail check")
     common(p)
-    p.add_argument("--delta", type=int, default=2)
     p.add_argument("--n", type=int, default=12)
     p.add_argument("--gamma", type=float, default=0.2)
     p.set_defaults(func=cmd_scan_thm91)
@@ -398,8 +403,7 @@ def main(argv=None) -> int:
         if args.command == "spread-matching" and not args.event:
             args.event = ["hall-fail"]
         return args.func(args)
-    except (InvalidArgumentError, UnsupportedSizeError, OSError, UnicodeDecodeError,
-            KeyError) as exc:
+    except (InvalidArgumentError, UnsupportedSizeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (InfeasibleParametersError, GenerationFailedError,

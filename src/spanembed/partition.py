@@ -21,7 +21,7 @@ from .errors import (
     InternalInvariantError,
     InvalidArgumentError,
 )
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, bits, mask_of, parse_int
 
 MAX_RESTARTS = 60
 EXHAUSTIVE_N = 12
@@ -291,8 +291,8 @@ def format_partition(parts: Sequence[Sequence[int]]) -> str:
 
 def parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
     parts = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
         if line:
-            parts.append(tuple(int(tok) for tok in line.split()))
+            parts.append(tuple(parse_int(tok, lineno) for tok in line.split()))
     return tuple(parts)

@@ -44,6 +44,12 @@ from .seeds import check_seed, count_trials, fresh_seed, np_rng, py_rng
 from .spread import FBInstance, FBParams, SpreadEstimate, sample_spread_matching
 from .switching import PartialEmbedding, switching_embed
 
+REFUTER_TRIALS = 100        # regularity-refuter trials per host pair
+HOST_ATTEMPTS = 10          # host draws before generation gives up
+SWITCH_ATTEMPTS = 20        # switching-embedder runs per pattern partition
+MAX_RESAMPLES = 8           # coupled-sampler redraws per buffer part
+RHO_RATIO = 0.4             # F_i's rho as a fraction of mu
+MIN_SUCCESS_RATE = 0.1      # success share below which spread estimates are refused
 
 # -- partitioned host --------------------------------------------------
 
@@ -52,14 +58,13 @@ from .switching import PartialEmbedding, switching_embed
 class HostParams:
     eps: float
     d: float
-    kappa: float
 
 
 class PartitionedHost:
     """Host graph with clusters, reduced graph R, and super-regular factor R'."""
 
     __slots__ = ("g", "clusters", "r_graph", "rprime", "params",
-                 "cluster_of", "_adj_bool", "_cluster_bool")
+                 "cluster_of", "_cluster_bool")
 
     def __init__(self, g: Graph, clusters: Sequence[Sequence[int]],
                  r_graph: Graph, rprime: Graph, params: HostParams):
@@ -81,10 +86,9 @@ class PartitionedHost:
         if any(c < 0 for c in cluster_of):
             raise InvalidArgumentError("clusters do not cover the host vertex set")
         sizes = [len(c) for c in self.clusters]
-        if min(sizes) == 0 or max(sizes) > params.kappa * min(sizes):
-            raise InvalidArgumentError(f"cluster sizes {sizes} are not kappa-balanced")
+        if min(sizes) == 0 or max(sizes) != min(sizes):
+            raise InvalidArgumentError(f"cluster sizes {sizes} are not all equal")
         self.cluster_of = tuple(cluster_of)
-        self._adj_bool = None
         self._cluster_bool = None
 
     @property
@@ -92,9 +96,7 @@ class PartitionedHost:
         return self.r_graph.n
 
     def adj_bool(self) -> np.ndarray:
-        if self._adj_bool is None:
-            self._adj_bool = self.g.adjacency_matrix()
-        return self._adj_bool
+        return self.g.adjacency_matrix()
 
     def cluster_bool(self) -> np.ndarray:
         if self._cluster_bool is None:
@@ -110,8 +112,7 @@ class PartitionedHost:
 
 
 def generate_regular_host(r_graph: Graph, rprime: Graph, m: int, d: float,
-                          seed: int, refuter_trials: int = 100,
-                          max_attempts: int = 10) -> PartitionedHost:
+                          seed: int) -> PartitionedHost:
     """Blow up R to clusters of size m with verified (eps,d)-regular pairs.
 
     Cross-edges appear independently with probability 2d on R'-pairs and
@@ -119,7 +120,7 @@ def generate_regular_host(r_graph: Graph, rprime: Graph, m: int, d: float,
     degree slack.  Every pair must then survive verification at
     eps = 4/sqrt(m): per-vertex minimum degree (d - eps) m on R'-pairs
     and the randomized regularity refuter on all R-pairs.  Failed
-    attempts resample with a fresh child seed, up to ``max_attempts``.
+    attempts resample with a fresh child seed, up to HOST_ATTEMPTS times.
     """
     if rprime.n != r_graph.n or not rprime.edges <= r_graph.edges:
         raise InvalidArgumentError("R' must be a spanning subgraph of R")
@@ -136,7 +137,7 @@ def generate_regular_host(r_graph: Graph, rprime: Graph, m: int, d: float,
     master = py_rng(seed)
     last_witness = None
 
-    for _ in range(max_attempts):
+    for _ in range(HOST_ATTEMPTS):
         rng = np_rng(fresh_seed(master))
         edges: list[tuple[int, int]] = []
         for i, j in sorted(r_graph.edges):
@@ -151,15 +152,15 @@ def generate_regular_host(r_graph: Graph, rprime: Graph, m: int, d: float,
         for i, j in sorted(r_graph.edges):
             check = check_super_regular_pair if (i, j) in rprime.edges else check_regular_pair
             verdict = check(g, clusters[i], clusters[j], params, mode="refute",
-                            trials=refuter_trials, seed=fresh_seed(master))
+                            trials=REFUTER_TRIALS, seed=fresh_seed(master))
             if verdict.kind != INCONCLUSIVE:
                 ok, last_witness = False, (verdict.witness_a, verdict.witness_b)
                 break
         if ok:
             return PartitionedHost(g, clusters, r_graph, rprime,
-                                   HostParams(eps, d, 1.0))
+                                   HostParams(eps, d))
     raise GenerationFailedError(
-        f"host verification failed in {max_attempts} attempts", witness=last_witness
+        f"host verification failed in {HOST_ATTEMPTS} attempts", witness=last_witness
     )
 
 
@@ -251,7 +252,7 @@ class PartitionedPattern:
         return f"PartitionedPattern(n={self.h.n}, r={len(self.parts)})"
 
 
-def _rprime_cliques(r_graph: Graph, rprime: Graph) -> list[list[int]]:
+def _rprime_cliques(rprime: Graph) -> list[list[int]]:
     comps = rprime.connected_components()
     ell = len(comps[0])
     for comp in comps:
@@ -266,8 +267,7 @@ def _rprime_cliques(r_graph: Graph, rprime: Graph) -> list[list[int]]:
 
 def partition_pattern(h: Graph, host: PartitionedHost,
                       xstar: Mapping[int, Iterable[int]] | None,
-                      alpha: float, seed: int,
-                      switch_attempts: int = 20) -> PartitionedPattern:
+                      alpha: float, seed: int) -> PartitionedPattern:
     """Partition H compatibly with the host and reserve buffer vertices.
 
     Three steps.  I: pick pairwise far-apart potential buffer vertices
@@ -288,7 +288,7 @@ def partition_pattern(h: Graph, host: PartitionedHost,
     if not 0 < alpha < 1:
         raise InvalidArgumentError(f"alpha must lie in (0,1), got {alpha}")
     delta = max(1, h.max_degree())
-    cliques = _rprime_cliques(host.r_graph, host.rprime)
+    cliques = _rprime_cliques(host.rprime)
     if any(len(c) < delta + 1 for c in cliques):
         raise InfeasibleParametersError(
             f"R' cliques must have at least delta+1 = {delta + 1} nodes")
@@ -370,7 +370,7 @@ def partition_pattern(h: Graph, host: PartitionedHost,
     host_index = {v: idx for idx, v in enumerate(_blowup_order(host))}
     phi_s = PartialEmbedding.of(h, rstar, {x: host_index[v] for x, v in placed.items()})
     outcome = None
-    for _ in range(switch_attempts):
+    for _ in range(SWITCH_ATTEMPTS):
         outcome = switching_embed(rstar, h, phi_s, fresh_seed(master))
         if outcome.ok:
             break
@@ -524,9 +524,7 @@ class CompletionResult:
 
 
 def complete_with_buffers(host: PartitionedHost, pattern: PartitionedPattern,
-                          rga: RGAResult, cfg: RGAConfig, c: int, seed: int,
-                          max_resamples: int = 8,
-                          rho_ratio: float = 0.4) -> CompletionResult:
+                          rga: RGAResult, cfg: RGAConfig, c: int, seed: int) -> CompletionResult:
     """Finish an RGA embedding by matching buffers to leftover vertices.
 
     Per part, the candidate graph F_i joins each unembedded buffer
@@ -576,10 +574,10 @@ def complete_with_buffers(host: PartitionedHost, pattern: PartitionedPattern,
                 if x in pattern.restrictions:
                     mat[a] &= np.isin(free, pattern.restrictions[x])
         params = FBParams(d=host.params.d, b=max(1, min(width, delta)),
-                          rho=rho_ratio * cfg.mu, mu=cfg.mu, delta=delta)
+                          rho=RHO_RATIO * cfg.mu, mu=cfg.mu, delta=delta)
         f = FBInstance(lam, mat, params)
         instances.append(f)
-        draw = sample_spread_matching(f, min(c, lam), max_resamples, fresh_seed(master))
+        draw = sample_spread_matching(f, min(c, lam), MAX_RESAMPLES, fresh_seed(master))
         if not draw.ok:
             witness = tuple(a_list[a] for a in draw.hall_witness or ())
             return CompletionResult(False, phi, tuple(instances), i, witness)
@@ -621,14 +619,12 @@ class PipelineTrial:
 
 
 def run_pipeline_once(host: PartitionedHost, pattern: PartitionedPattern,
-                      cfg: RGAConfig, c: int, seed: int,
-                      max_resamples: int = 8) -> PipelineTrial:
+                      cfg: RGAConfig, c: int, seed: int) -> PipelineTrial:
     master = py_rng(seed)
     rga = rga_embed(host, pattern, cfg, fresh_seed(master))
     if not rga.ok:
         return PipelineTrial(False, None, rga.sizes, "rga")
-    completion = complete_with_buffers(host, pattern, rga, cfg, c,
-                                       fresh_seed(master), max_resamples)
+    completion = complete_with_buffers(host, pattern, rga, cfg, c, fresh_seed(master))
     if not completion.ok:
         return PipelineTrial(False, None, rga.sizes, f"buffers[{completion.fail_part}]")
     return PipelineTrial(True, completion.phi, rga.sizes)
@@ -652,19 +648,18 @@ class VertexSpreadReport:
 def estimate_vertex_spread(host: PartitionedHost, pattern: PartitionedPattern,
                            cfg: RGAConfig, c: int,
                            probes: Sequence[tuple[int, int]],
-                           trials: int, seed: int,
-                           min_success_rate: float = 0.1) -> VertexSpreadReport:
+                           trials: int, seed: int) -> VertexSpreadReport:
     """Empirical P(phi(x) = v) per probe over success-conditioned pipeline runs.
 
     Requires at least 10^3 trials; raises EstimateUnreliableError when
-    fewer than ``min_success_rate`` of them produce an embedding.
+    fewer than MIN_SUCCESS_RATE of them produce an embedding.
     """
     if trials < 1000:
         raise InvalidArgumentError(f"need at least 1000 trials, got {trials}")
     successes, hits = count_trials(
         lambda trial_seed: run_pipeline_once(host, pattern, cfg, c, trial_seed).phi,
         [lambda phi, x=x, v=v: phi[x] == v for x, v in probes], trials, seed)
-    if successes < min_success_rate * trials:
+    if successes < MIN_SUCCESS_RATE * trials:
         raise EstimateUnreliableError(
             f"only {successes}/{trials} pipeline successes; estimates unreliable")
     ests = tuple(SpreadEstimate(f"phi({x})={v}", successes, hit)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanembed import robustness
-from spanembed.cli import main
+from spanembed import cli, robustness
+from spanembed.cli import build_parser, main
 from spanembed.graphs import Graph, complete_graph, cycle_graph, format_graph
 from spanembed.spread import FBInstance, FBParams, format_fb_instance
 
@@ -209,6 +209,34 @@ def test_bad_config_is_exit_2(files, capsys):
         cfg = write("bad.cfg", text)
         assert main([command, "--config", cfg]) == 2, (command, text)
         assert where in capsys.readouterr().err
+
+
+REMOVED_FLAGS = [(argv, flag) for argv in (["m1", "--graph", "g.txt"],
+                                           ["equitable", "--graph", "g.txt", "2"],
+                                           ["clique-factor", "--graph", "g.txt", "3"])
+                 for flag in ("--seed", "--trials", "--out")] + [
+    (["embed-switch", "h.txt", "p.txt"], "--trials"),
+    (["pipeline", "--config", "p.cfg"], "--trials"),
+    (["scan-thm91"], "--delta"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", REMOVED_FLAGS,
+                         ids=[f"{argv[0]} {flag}" for argv, flag in REMOVED_FLAGS])
+def test_flag_the_body_never_reads_is_exit_2(argv, flag):
+    # refused by the parser, before any file is read, instead of silently ignored
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv + [flag, "5"])
+    assert exc.value.code == 2
+
+
+def test_internal_key_error_propagates(monkeypatch):
+    # a KeyError inside a command is a bug, not invalid input: it is not turned into exit 2
+    def broken(args):
+        raise KeyError("internal")
+    monkeypatch.setattr(cli, "cmd_m1", broken)
+    with pytest.raises(KeyError):
+        main(["m1", "--graph", "g.txt"])
 
 
 def test_spread_matching_long_chain_is_exit_0(files, capsys):

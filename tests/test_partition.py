@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_bounded_degree_graph, random_min_degree_graph
-from spanembed.errors import InfeasibleParametersError
+from spanembed.errors import InfeasibleParametersError, InvalidArgumentError
 from spanembed.graphs import (
     Graph,
     complete_graph,
@@ -133,3 +133,8 @@ def test_second_neighborhood_bound(n, max_deg, seed):
 def test_partition_serialization_roundtrip():
     parts = ((0, 2, 4), (1, 3), (5,))
     assert parse_partition(format_partition(parts)) == parts
+
+
+def test_parse_partition_bad_token_is_invalid_argument():
+    with pytest.raises(InvalidArgumentError, match="line 2"):
+        parse_partition("0 1\n2 x\n")

@@ -76,6 +76,14 @@ def test_generate_host_validates_arguments():
         generate_regular_host(K2, complete_graph(3), m=30, d=0.5, seed=0)
 
 
+def test_partitioned_host_rejects_unequal_clusters():
+    params = HostParams(eps=0.5, d=0.5)
+    with pytest.raises(InvalidArgumentError, match="not all equal"):
+        PartitionedHost(Graph(21, []), [range(10), range(10, 21)], K2, K2, params)
+    with pytest.raises(InvalidArgumentError, match="not all equal"):
+        PartitionedHost(Graph(10, []), [range(10), []], K2, K2, params)
+
+
 def test_partition_pattern_triangle_structure():
     host, pattern = triangle_setup()
     pattern.validate(host)
@@ -128,7 +136,7 @@ def test_rga_fails_fast_on_empty_needed_pair():
     # manual host with an R-edge whose pair has no host edges at all
     g = Graph(20, [])
     host = PartitionedHost(g, [range(10), range(10, 20)], K2, K2,
-                           HostParams(eps=0.5, d=0.5, kappa=1.0))
+                           HostParams(eps=0.5, d=0.5))
     h = perfect_matching_pattern(20)
     parts = [tuple(range(0, 20, 2)), tuple(range(1, 20, 2))]
     buffers = [parts[0][:3], parts[1][:3]]

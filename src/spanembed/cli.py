@@ -4,8 +4,9 @@ Each subcommand takes only the flags its body reads:
 
 - m1 --graph; equitable --graph k; clique-factor --graph r
 - embed-switch host pattern [--phi] [--seed] [--out]
-- spread-matching --instance [--c --d --b --rho --mu --delta --event]
-  [--seed] [--trials] [--out]
+- spread-matching --instance [--c --d --b --delta --event] [--seed]
+  [--trials] [--out]; --delta bounds --b, and FB's rho and mu, which no
+  part of the command reads, are fixed at 0.1 and 0.25
 - pipeline --config [--seed] [--out]; trials come from the config
 - scan --config [--seed] [--trials] [--out]; config keys override flags
 - scan-thm91 [--n] [--gamma] [--seed] [--trials] [--out]; delta is 2
@@ -189,7 +190,7 @@ def cmd_clique_factor(args) -> int:
 def cmd_spread_matching(args) -> int:
     if args.trials < 1:
         raise InvalidArgumentError(f"--trials = {args.trials} must be >= 1")
-    params = FBParams(d=args.d, b=args.b, rho=args.rho, mu=args.mu, delta=args.delta)
+    params = FBParams(d=args.d, b=args.b, rho=0.1, mu=0.25, delta=args.delta)
     with open(args.instance, "r", encoding="utf-8") as fh:
         inst = parse_fb_instance(fh.read(), params)
     c = args.c if args.c else default_coupling_constant(inst)
@@ -370,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, default=0, help="coupling constant; 0 = default policy")
     p.add_argument("--d", type=float, default=0.8)
     p.add_argument("--b", type=int, default=1)
-    p.add_argument("--rho", type=float, default=0.1)
-    p.add_argument("--mu", type=float, default=0.25)
     p.add_argument("--delta", type=int, default=2)
     p.add_argument("--event", action="append", default=None,
                    help="hall-fail or contains:a-b[,a-b...]; repeatable")

@@ -30,7 +30,7 @@ Edge = tuple[int, int]
 class Graph:
     """Immutable simple graph: no loops, no parallel edges."""
 
-    __slots__ = ("n", "edges", "adj", "_adj_matrix")
+    __slots__ = ("n", "edges", "adj", "_adj_matrix", "_max_degree")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
@@ -51,6 +51,7 @@ class Graph:
         self.edges = frozenset(canon)
         self.adj = tuple(adj)
         self._adj_matrix = None
+        self._max_degree = None
 
     # -- basic queries ------------------------------------------------
 
@@ -68,7 +69,10 @@ class Graph:
         return [m.bit_count() for m in self.adj]
 
     def max_degree(self) -> int:
-        return max((m.bit_count() for m in self.adj), default=0)
+        """Largest vertex degree, 0 for no vertices (cached)."""
+        if self._max_degree is None:
+            self._max_degree = max((m.bit_count() for m in self.adj), default=0)
+        return self._max_degree
 
     def min_degree(self) -> int:
         return min((m.bit_count() for m in self.adj), default=0)

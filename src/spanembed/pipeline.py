@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -40,7 +41,7 @@ from .regularity import (
     check_regular_pair,
     check_super_regular_pair,
 )
-from .seeds import check_seed, count_trials, fresh_seed, np_rng, py_rng
+from .seeds import block_integers, check_seed, count_trials, fresh_seed, np_rng, py_rng
 from .spread import FBInstance, FBParams, SpreadEstimate, sample_spread_matching
 from .switching import PartialEmbedding, switching_embed
 
@@ -60,11 +61,16 @@ class HostParams:
     d: float
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class PartitionedHost:
     """Host graph with clusters, reduced graph R, and super-regular factor R'."""
 
     __slots__ = ("g", "clusters", "r_graph", "rprime", "params",
-                 "cluster_of", "_cluster_bool")
+                 "cluster_of", "cluster_index", "_cluster_bool", "_cluster_adj")
 
     def __init__(self, g: Graph, clusters: Sequence[Sequence[int]],
                  r_graph: Graph, rprime: Graph, params: HostParams):
@@ -89,7 +95,9 @@ class PartitionedHost:
         if min(sizes) == 0 or max(sizes) != min(sizes):
             raise InvalidArgumentError(f"cluster sizes {sizes} are not all equal")
         self.cluster_of = tuple(cluster_of)
+        self.cluster_index = _frozen(np.array(cluster_of, dtype=np.intp))
         self._cluster_bool = None
+        self._cluster_adj = None
 
     @property
     def r(self) -> int:
@@ -105,6 +113,13 @@ class PartitionedHost:
                 m[i, list(cl)] = True
             self._cluster_bool = m
         return self._cluster_bool
+
+    def cluster_adj(self) -> tuple[np.ndarray, ...]:
+        """Per cluster i, the host columns ``adj[:, V_i]`` (cached, read-only)."""
+        if self._cluster_adj is None:
+            adj = self.adj_bool()
+            self._cluster_adj = tuple(_frozen(adj[:, cl]) for cl in self.clusters)
+        return self._cluster_adj
 
     def __repr__(self):
         return (f"PartitionedHost(n={self.g.n}, r={self.r}, "
@@ -176,10 +191,13 @@ class PatternParams:
 class PartitionedPattern:
     """Pattern H with parts X_i, potential buffers, and image restrictions.
 
-    ``nbrs[x]`` lists the H-neighbours of x in ascending order.
+    ``nbrs[x]`` lists the H-neighbours of x in ascending order;
+    ``part_index`` is ``part_of`` as an array, and ``edge_array`` holds
+    the edges of H in sorted order, one per row; both are read-only.
     """
 
-    __slots__ = ("h", "parts", "buffers", "restrictions", "params", "part_of", "nbrs")
+    __slots__ = ("h", "parts", "buffers", "restrictions", "params", "part_of",
+                 "part_index", "nbrs", "edge_array")
 
     def __init__(self, h: Graph, parts: Sequence[Sequence[int]],
                  buffers: Sequence[Sequence[int]],
@@ -195,7 +213,9 @@ class PartitionedPattern:
             for x in part:
                 part_of[x] = i
         self.part_of = tuple(part_of)
+        self.part_index = _frozen(np.array(part_of, dtype=np.intp))
         self.nbrs = tuple(bits(mask) for mask in h.adj)
+        self.edge_array = _frozen(np.array(h.sorted_edges(), dtype=np.intp).reshape(-1, 2))
 
     def restrictions_valid(self, host: "PartitionedHost", rho: float, zeta: float) -> bool:
         """(rho, zeta)-validity: per part at most rho |X_i| restricted
@@ -457,7 +477,6 @@ def rga_embed(host: PartitionedHost, pattern: PartitionedPattern,
     fails when that set is smaller than max(1, floor_fraction |V(x)|).
     """
     rng = np_rng(seed)
-    adj = host.adj_bool()
 
     buffer_sets = []
     for i, pool in enumerate(pattern.buffers):
@@ -467,29 +486,23 @@ def rga_embed(host: PartitionedHost, pattern: PartitionedPattern,
                 f"part {i}: mu|X_i| = {want} buffer vertices wanted, pool has {len(pool)}")
         pick = rng.choice(len(pool), size=want, replace=False) if want else []
         buffer_sets.append(tuple(sorted(pool[k] for k in pick)))
-    excluded = set().union(*map(set, buffer_sets)) if buffer_sets else set()
+    excluded = set().union(*buffer_sets)
 
     queues = [[x for x in part if x not in excluded] for part in pattern.parts]
-    order = []
-    at = [0] * len(queues)
-    remaining = sum(len(q) for q in queues)
-    while remaining:
-        for i, q in enumerate(queues):
-            if at[i] < len(q):
-                order.append(q[at[i]])
-                at[i] += 1
-                remaining -= 1
+    order = [x for tier in zip_longest(*queues) for x in tier if x is not None]
 
     # per cluster: its vertices, its free slots, every host row restricted to
     # it, and the candidate floor; candidates are slot indices into the cluster
-    members = [np.flatnonzero(row) for row in host.cluster_bool()]
-    free = [np.ones(len(cl), dtype=bool) for cl in members]
-    cluster_adj = [adj[:, cl] for cl in members]
-    floors = [max(1, int(cfg.floor_fraction * len(cl))) for cl in members]
+    clusters, cluster_adj = host.clusters, host.cluster_adj()
+    free = [np.ones(len(cl), dtype=bool) for cl in clusters]
+    floors = [max(1, int(cfg.floor_fraction * len(cl))) for cl in clusters]
     part_of, nbrs = pattern.part_of, pattern.nbrs
-    restr_masks = {x: np.isin(members[part_of[x]], allowed)
+    restr_masks = {x: np.isin(clusters[part_of[x]], allowed)
                    for x, allowed in pattern.restrictions.items()}
 
+    # one pick per vertex, each equal to rng.integers(len(cands)); rng draws
+    # nothing after this loop
+    pick_slot = block_integers(rng, len(order))
     phi: dict[int, int] = {}
     sizes = []
     for t, x in enumerate(order):
@@ -502,11 +515,12 @@ def rga_embed(host: PartitionedHost, pattern: PartitionedPattern,
             if y in phi:
                 avail = avail & rows[phi[y]]
         cands = avail.nonzero()[0]
-        sizes.append(len(cands))
-        if len(cands) < floors[part]:
+        k = len(cands)
+        sizes.append(k)
+        if k < floors[part]:
             return RGAResult(False, phi, tuple(sizes), tuple(buffer_sets), fail_index=t)
-        slot = cands[rng.integers(len(cands))]
-        phi[x] = int(members[part][slot])
+        slot = cands[pick_slot(k)]
+        phi[x] = clusters[part][slot]
         free[part][slot] = False
     return RGAResult(True, phi, tuple(sizes), tuple(buffer_sets))
 
@@ -594,13 +608,13 @@ def _validate_full_embedding(host, pattern, phi) -> None:
     if len(phi) != h.n or len(set(phi.values())) != h.n:
         raise InternalInvariantError("embedding is not a bijection")
     image = np.array([phi[x] for x in range(h.n)], dtype=np.intp)
-    outside = np.flatnonzero(np.array(host.cluster_of)[image] != pattern.part_of)
+    outside = np.flatnonzero(host.cluster_index[image] != pattern.part_index)
     if len(outside):
         raise InternalInvariantError(f"vertex {outside[0]} embedded outside its cluster")
     for x, allowed in pattern.restrictions.items():
         if phi[x] not in allowed:
             raise InternalInvariantError(f"vertex {x} violates its image restriction")
-    edges = np.array(list(h.edges), dtype=np.intp).reshape(-1, 2)
+    edges = pattern.edge_array
     missed = np.flatnonzero(~host.adj_bool()[image[edges[:, 0]], image[edges[:, 1]]])
     if len(missed):
         x, y = edges[missed[0]]

@@ -218,6 +218,8 @@ REMOVED_FLAGS = [(argv, flag) for argv in (["m1", "--graph", "g.txt"],
     (["embed-switch", "h.txt", "p.txt"], "--trials"),
     (["pipeline", "--config", "p.cfg"], "--trials"),
     (["scan-thm91"], "--delta"),
+    (["spread-matching", "--instance", "f.txt"], "--rho"),
+    (["spread-matching", "--instance", "f.txt"], "--mu"),
 ]
 
 

@@ -6,6 +6,7 @@ from scipy.stats import chi2
 
 from spanembed.errors import (
     EstimateUnreliableError,
+    InternalInvariantError,
     InvalidArgumentError,
 )
 from spanembed.graphs import Graph, complete_graph, empty_graph
@@ -21,6 +22,7 @@ from spanembed.pipeline import (
     pushforward_edge_spread,
     rga_embed,
     run_pipeline_once,
+    _validate_full_embedding,
 )
 from spanembed.regularity import RegPairParams, check_super_regular_pair, INCONCLUSIVE
 from spanembed.robustness import clique_factor_pattern, perfect_matching_pattern
@@ -159,6 +161,57 @@ def test_completion_round_trip_and_validation():
         assert host.g.has_edge(phi[x], phi[y])
     # per-part instances got built with balanced sides
     assert all(f.lam == len(r) for f, r in zip(done.instances, rga.buffer_sets))
+
+
+def _corrupt(host, pattern, phi, case):
+    """A copy of the valid embedding ``phi`` broken as ``case`` says, and the message."""
+    phi = dict(phi)
+    h, part0, part1 = pattern.h, pattern.parts[0], pattern.parts[1]
+    if case == "bijection":
+        phi[part0[1]] = phi[part0[0]]
+        return phi, "embedding is not a bijection"
+    if case == "cluster":
+        x, y = part0[4], part1[2]
+        phi[x], phi[y] = phi[y], phi[x]
+        return phi, f"vertex {min(x, y)} embedded outside its cluster"
+    # swap two images inside cluster 0 so that at least two H-edges miss G
+    for x in part0:
+        for y in part0:
+            swapped = dict(phi)
+            swapped[x], swapped[y] = phi[y], phi[x]
+            missed = sorted(e for e in h.edges
+                            if not host.g.has_edge(swapped[e[0]], swapped[e[1]]))
+            if len(missed) >= 2:
+                a, b = missed[0]
+                return swapped, f"H-edge ({a},{b}) not mapped to a host edge"
+    raise AssertionError("no swap in cluster 0 misses two H-edges")
+
+
+@pytest.mark.parametrize("case", ["bijection", "cluster", "edge"])
+def test_validation_rejects_corrupted_embeddings(case):
+    # d=0.4 leaves R'-pairs incomplete, so a swap inside a cluster can miss edges
+    host, pattern = triangle_setup(d=0.4)
+    trial = next(t for t in (run_pipeline_once(host, pattern, RGAConfig(mu=0.25), 6, seed)
+                             for seed in range(20)) if t.ok)
+    _validate_full_embedding(host, pattern, trial.phi)
+    phi, message = _corrupt(host, pattern, trial.phi, case)
+    with pytest.raises(InternalInvariantError) as exc:
+        _validate_full_embedding(host, pattern, phi)
+    assert str(exc.value) == message
+
+
+def test_host_and_pattern_arrays_are_read_only():
+    host, pattern = triangle_setup()
+    columns = host.cluster_adj()
+    assert host.cluster_adj() is columns
+    for cl, cols in zip(host.clusters, columns):
+        assert (cols == host.adj_bool()[:, list(cl)]).all()
+    assert pattern.edge_array.tolist() == [list(e) for e in pattern.h.sorted_edges()]
+    assert host.cluster_index.tolist() == list(host.cluster_of)
+    assert pattern.part_index.tolist() == list(pattern.part_of)
+    for a in (*columns, pattern.edge_array, host.cluster_index, pattern.part_index):
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def test_completion_instances_follow_their_definition():

@@ -32,7 +32,6 @@ from .spread import (
     sample_coupled,
     sample_spread_matching,
     estimate_matching_spread,
-    verify_coupling_monotone,
 )
 from .pipeline import (
     PartitionedHost,
@@ -47,10 +46,8 @@ from .pipeline import (
 )
 from .robustness import (
     ThresholdScan,
-    CliqueSplit,
     sample_gp,
     contains_spanning,
-    split_cliques,
     threshold_scan,
     scan_thm91_grid,
 )

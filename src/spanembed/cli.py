@@ -238,7 +238,8 @@ def cmd_pipeline(args) -> int:
     c = config_value(conf, "C", int, 8)
     trials = config_value(conf, "trials", int, 200)
     seed = config_value(conf, "seed", int, args.seed)
-    for key, value, low in (("delta", delta, 0), ("r", r, 1), ("trials", trials, 1)):
+    for key, value, low in (("delta", delta, 0), ("r", r, 1), ("C", c, 1),
+                            ("trials", trials, 1)):
         if value < low:
             raise InvalidArgumentError(f"line {conf[key][0]}: {key} = {value} must be >= {low}")
     if r % (delta + 1):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -50,43 +50,26 @@ def bipartite_matching(z: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class HallVerdict:
     satisfied: bool
-    witness: tuple[int, ...] | None = None   # deficient S subset of A, original labels
+    witness: tuple[int, ...] | None = None   # deficient S subset of A, as row indices
     matching_size: int = 0
 
 
-def hall_check(a_side: Iterable[int], b_side: Iterable[int],
-               edges: Iterable[tuple[int, int]]) -> HallVerdict:
-    """Decide Hall's condition for A into B via maximum matching.
+def hall_check(z: np.ndarray) -> HallVerdict:
+    """Decide Hall's condition for the rows of a square boolean biadjacency matrix.
 
-    ``edges`` are (a, b) pairs in the original vertex labels.  Sides
-    must be disjoint and balanced (the use case is perfect matchings).
-    On failure the witness is a set S in A with |N(S)| < |S|, extracted
-    from the alternating reachability of the maximum matching.
+    Row a and column b stand for the edge (a, b).  On failure the
+    witness is a set S of rows with |N(S)| < |S|, extracted from the
+    alternating reachability of the maximum matching.
     """
-    aa = sorted(set(a_side))
-    bb = sorted(set(b_side))
-    if len(aa) != len(bb):
-        raise InvalidArgumentError(f"sides must balance, got {len(aa)} vs {len(bb)}")
-    pos_a = {v: i for i, v in enumerate(aa)}
-    pos_b = {v: i for i, v in enumerate(bb)}
-    both = pos_a.keys() & pos_b.keys()
-    if both:
-        raise InvalidArgumentError(f"sides must be disjoint, both contain {sorted(both)}")
-    z = np.zeros((len(aa), len(bb)), dtype=bool)
-    for a, b in edges:
-        if a in pos_a and b in pos_b:
-            z[pos_a[a], pos_b[b]] = True
-        elif b in pos_a and a in pos_b:
-            z[pos_a[b], pos_b[a]] = True
-        else:
-            raise InvalidArgumentError(f"edge ({a},{b}) does not join the two sides")
+    if z.ndim != 2 or z.shape[0] != z.shape[1]:
+        raise InvalidArgumentError(f"biadjacency matrix must be square, got shape {z.shape}")
     mate = bipartite_matching(z)
     size = int(np.count_nonzero(mate != UNMATCHED))
-    if size == len(aa):
+    if size == len(z):
         return HallVerdict(True, None, size)
 
     # alternating BFS from unmatched A-vertices: reachable A is deficient
-    pair_r = [UNMATCHED] * len(bb)
+    pair_r = [UNMATCHED] * len(z)
     for u, v in enumerate(mate.tolist()):
         if v != UNMATCHED:
             pair_r[v] = u
@@ -105,8 +88,7 @@ def hall_check(a_side: Iterable[int], b_side: Iterable[int],
             if w != UNMATCHED and w not in seen_a:
                 seen_a.add(w)
                 q.append(w)
-    witness = tuple(aa[u] for u in sorted(seen_a))
-    return HallVerdict(False, witness, size)
+    return HallVerdict(False, tuple(sorted(seen_a)), size)
 
 
 def edmonds_matching(adj: Sequence[int], mate: Sequence[int] | None = None) -> list[int]:

@@ -214,34 +214,6 @@ def check_super_regular_pair(
     return check_regular_pair(g, aa, bb, params, mode=mode, trials=trials, seed=seed)
 
 
-def pair_degree_summary(g: Graph, a_side: Iterable[int], b_side: Iterable[int],
-                        params: RegPairParams) -> dict:
-    """Degree/codegree concentration summary.  Heuristic; certifies nothing.
-
-    Regular-looking pairs have per-vertex degrees near d|B| and
-    codegrees near d^2|B|.  Large relative spreads hint at
-    irregularity, but no verdict here carries any guarantee.
-    """
-    aa, bb = _check_sides(g, a_side, b_side)
-    mask_b = mask_of(bb)
-    degs = np.array([(g.adj[a] & mask_b).bit_count() for a in aa], dtype=np.float64)
-    d0 = degs.sum() / (len(aa) * len(bb))
-    codegs = []
-    for i, a1 in enumerate(aa):
-        for a2 in aa[i + 1:]:
-            codegs.append((g.adj[a1] & g.adj[a2] & mask_b).bit_count())
-    codegs = np.array(codegs, dtype=np.float64) if codegs else np.zeros(1)
-    return {
-        "density": d0,
-        "degree_mean": float(degs.mean()),
-        "degree_min": float(degs.min()),
-        "degree_max": float(degs.max()),
-        "codegree_mean": float(codegs.mean()),
-        "codegree_expected": d0 * d0 * len(bb),
-        "certifying": False,
-    }
-
-
 def _popcounts(nbits: int) -> np.ndarray:
     """Popcount lookup for all masks on nbits bits."""
     size = 1 << nbits

@@ -280,40 +280,6 @@ def _contains_backtracking(gp: Graph, h: Graph, budget: int) -> ContainVerdict:
     return ContainVerdict(res, nodes_used=nodes)
 
 
-# -- clique-component split ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class CliqueSplit:
-    h1_components: tuple[tuple[int, ...], ...]
-    h2_components: tuple[tuple[int, ...], ...]
-
-    @property
-    def h1_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(v for c in self.h1_components for v in c))
-
-    @property
-    def h2_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(v for c in self.h2_components for v in c))
-
-
-def split_cliques(h: Graph, delta: int) -> CliqueSplit:
-    """Separate the K_{delta+1} components of H from everything else."""
-    if h.max_degree() > delta:
-        raise InvalidArgumentError(
-            f"pattern has maximum degree {h.max_degree()} > delta = {delta}")
-    want = delta + 1
-    h1, h2 = [], []
-    for comp in h.connected_components():
-        if len(comp) == want and all(
-            h.has_edge(u, v) for i, u in enumerate(comp) for v in comp[i + 1:]
-        ):
-            h1.append(tuple(comp))
-        else:
-            h2.append(tuple(comp))
-    return CliqueSplit(tuple(h1), tuple(h2))
-
-
 # -- threshold scans -----------------------------------------------------
 
 

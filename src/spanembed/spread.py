@@ -35,7 +35,7 @@ matrix product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -284,18 +284,8 @@ class MatchingDraw:
     hall_witness: tuple[int, ...] | None = None
 
 
-def canonical_matching(lam: int, z_edges: Iterable[BipEdge] | np.ndarray
-                       ) -> tuple[int, frozenset[BipEdge]]:
-    """Deterministic maximum matching of an edge set: ``bipartite_matching`` of its matrix.
-
-    ``z_edges`` is an iterable of (a, b) pairs or a lam x lam boolean matrix.
-    """
-    if isinstance(z_edges, np.ndarray):
-        z = z_edges
-    else:
-        z = np.zeros((lam, lam), dtype=bool)
-        for a, b in z_edges:
-            z[a, b] = True
+def canonical_matching(lam: int, z: np.ndarray) -> tuple[int, frozenset[BipEdge]]:
+    """Deterministic maximum matching of a lam x lam boolean matrix: ``bipartite_matching`` of it."""
     mate = bipartite_matching(z).tolist()
     m = frozenset((a, b) for a, b in enumerate(mate) if b != UNMATCHED)
     return len(m), m
@@ -329,9 +319,7 @@ def sample_spread_matching(f: FBInstance, c: int, max_resamples: int, seed: int)
         if size == lam:
             pa, pb = pa.tolist(), pb.tolist()
             return MatchingDraw(True, frozenset((pa[i], pb[j]) for i, j in matching), draws)
-    verdict = hall_check(range(lam), range(lam, 2 * lam),
-                         [(a, lam + b) for a, b in _edge_set(z)])
-    return MatchingDraw(False, None, draws, verdict.witness)
+    return MatchingDraw(False, None, draws, hall_check(z).witness)
 
 
 @dataclass(frozen=True)
@@ -366,36 +354,6 @@ def estimate_matching_spread(f: FBInstance, c: int, s_edges: Iterable[BipEdge],
         lambda trial_seed: sample_spread_matching(f, c, max_resamples, trial_seed).matching,
         [s.issubset], trials, seed)
     return SpreadEstimate(label, done, hits)
-
-
-@dataclass(frozen=True)
-class CouplingReport:
-    z_estimate: SpreadEstimate
-    z1_estimate: SpreadEstimate
-    z2_estimate: SpreadEstimate
-    violation: bool
-
-
-def verify_coupling_monotone(f: FBInstance, c: int,
-                             event: Callable[[frozenset[BipEdge]], bool],
-                             trials: int, seed: int,
-                             label: str = "event") -> CouplingReport:
-    """Monte Carlo check of P_Z(E) <= min(P_Z1(E), P_Z2(E)) for decreasing E.
-
-    The caller is responsible for supplying a monotone decreasing event
-    (adding edges can only falsify it).  The three estimates come from
-    the same draws; the violation flag fires only beyond the combined
-    99% radii.
-    """
-    _, (hz, h1, h2) = count_trials(
-        lambda trial_seed: sample_coupled(f, c, trial_seed),
-        [lambda cs: event(cs.z), lambda cs: event(cs.z1), lambda cs: event(cs.z2)], trials, seed)
-    ez = SpreadEstimate(f"{label}|Z", trials, hz)
-    e1 = SpreadEstimate(f"{label}|Z1", trials, h1)
-    e2 = SpreadEstimate(f"{label}|Z2", trials, h2)
-    bound = min(e1.estimate + e1.radius, e2.estimate + e2.radius)
-    violation = ez.estimate - ez.radius > bound
-    return CouplingReport(ez, e1, e2, violation)
 
 
 # -- text format -------------------------------------------------------

@@ -227,11 +227,11 @@ def test_criterion_5_spread_matching():
         match_counts = {}
         successes = 0
         for i in range(trials):
-            z = sample_coupled(f, c, seed=i).z
-            size, _ = canonical_matching(lam, z)
+            sample = sample_coupled(f, c, seed=i)
+            size, _ = canonical_matching(lam, sample.z_mat)
             if size < lam:
                 hall_fails += 1
-            for e in z:
+            for e in sample.z:
                 edge_z_counts[e] = edge_z_counts.get(e, 0) + 1
             draw = sample_spread_matching(f, c, max_resamples=4, seed=10 ** 6 + i)
             if draw.ok:
@@ -253,11 +253,13 @@ def test_criterion_5_spread_matching():
 
 
 def _vertex_spread_probes(host, pattern, count, seed):
-    """Deterministic probe set covering the possible concentration hot spots.
+    """Deterministic probe set: the extreme pairs, then seeded main/buffer pairs.
 
-    A matcher that follows a fixed vertex order concentrates on (extreme
-    buffer vertex, extreme free slot) pairs, so those all go in, then
-    seeded main/buffer pairs fill up the rest.
+    The (extreme buffer vertex, extreme free slot) pairs are where a
+    matcher that follows a fixed vertex order would concentrate.  The
+    relabelled matcher does not, but the pairs stay in the set to catch
+    a return to an index-order matcher; seeded main/buffer pairs fill up
+    the rest.
     """
     rng = random.Random(seed)
     probes: set = set()

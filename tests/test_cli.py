@@ -198,6 +198,8 @@ def test_bad_config_is_exit_2(files, capsys):
         ("pipeline", pipe.replace("r 3", "r 0"), "line 4"),
         ("pipeline", pipe.replace("r 3", "r -3"), "line 4"),
         ("pipeline", pipe.replace("delta 2", "delta -1"), "line 1"),
+        ("pipeline", pipe.replace("C 5", "C 0"), "line 6"),
+        ("pipeline", pipe.replace("C 5", "C -3"), "line 6"),
         ("pipeline", pipe.replace("trials 25", "trials -3"), "line 7"),
         ("scan", scan + "trials -3\n", "trials must be >= 1"),
         ("scan", scan + "budget -4\n", "budget must be >= 1"),

@@ -14,7 +14,6 @@ from spanembed.regularity import (
     check_regular_pair,
     check_super_regular_pair,
     density,
-    pair_degree_summary,
 )
 
 
@@ -195,10 +194,3 @@ def test_regularity_robustness_under_small_alterations():
         v = check_regular_pair(g, aa_hat, bb_hat, RegPairParams(eps_hat, d_hat))
         assert v.kind != REFUTED, seed
     assert found >= 3
-
-
-def test_degree_summary_is_labeled_noncertifying():
-    kb = complete_bipartite_graph(5, 5)
-    rep = pair_degree_summary(kb, range(5), range(5, 10), RegPairParams(0.2, 0.5))
-    assert rep["certifying"] is False
-    assert rep["density"] == 1.0 and rep["degree_min"] == 5.0

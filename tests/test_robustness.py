@@ -10,16 +10,13 @@ import pytest
 
 from conftest import random_graph
 from spanembed import robustness
-from spanembed.density import max_one_density
 from spanembed.errors import InvalidArgumentError
 from spanembed.graphs import (
     Graph,
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
-    disjoint_union,
     is_valid_embedding,
-    path_graph,
 )
 from spanembed.robustness import (
     _cliques_from,
@@ -33,10 +30,10 @@ from spanembed.robustness import (
     random_min_degree_host,
     sample_gp,
     scan_thm91_grid,
-    split_cliques,
     threshold_scan,
     unbalanced_multipartite_host,
 )
+from spanembed.seeds import child_seed
 
 
 def permutation_oracle(gp, h):
@@ -185,41 +182,6 @@ def test_cliques_from_lists_cliques_by_least_vertex():
                 assert _cliques_from(g, v, r) == want, (seed, r, v)
 
 
-def test_split_cliques_examples():
-    h = disjoint_union(complete_graph(4), path_graph(3))
-    s = split_cliques(h, 3)
-    assert s.h1_components == ((0, 1, 2, 3),)
-    assert s.h2_vertices == (4, 5, 6)
-
-    no_cliques = cycle_graph(5)
-    assert split_cliques(no_cliques, 2).h1_components == ()
-
-    mix = disjoint_union(*([complete_graph(3)] * 3), cycle_graph(5))
-    s = split_cliques(mix, 2)
-    assert len(s.h1_components) == 3 and len(s.h2_vertices) == 5
-
-
-def test_split_cliques_m1_is_componentwise_max():
-    for seed in range(20):
-        import random
-        rng = random.Random(seed)
-        comps = []
-        for _ in range(rng.randint(1, 3)):
-            kind = rng.choice(["k3", "path", "cycle"])
-            comps.append({"k3": complete_graph(3), "path": path_graph(3),
-                          "cycle": cycle_graph(4)}[kind])
-        h = disjoint_union(*comps)
-        if h.n > 8:
-            continue
-        s = split_cliques(h, 2)
-        vals = []
-        if s.h1_vertices:
-            vals.append(max_one_density(h.induced(list(s.h1_vertices)))[0])
-        if s.h2_vertices and len(s.h2_vertices) >= 2:
-            vals.append(max_one_density(h.induced(list(s.h2_vertices)))[0])
-        assert max_one_density(h)[0] == max(vals)
-
-
 def test_threshold_scan_rows_and_monotone_coupling():
     host = dirac_overlap_host(20)
     scan = ThresholdScan(host, perfect_matching_pattern(20),
@@ -230,6 +192,17 @@ def test_threshold_scan_rows_and_monotone_coupling():
     assert rows[-1].fraction == 1.0
     fracs = [r.fraction for r in rows]
     assert fracs == sorted(fracs)  # exact coupling makes this certain
+
+
+def test_threshold_scan_decides_sample_gp(monkeypatch):
+    # the coupled G(p) of trial t is the documented one: sample_gp at child_seed(seed, t)
+    host, grid, seed = random_graph(12, 0.5, 3), (0.1, 0.3, 0.5, 0.8, 1.0), 2 ** 40 + 9
+    decided = []
+    real = robustness.contains_spanning
+    monkeypatch.setattr(robustness, "contains_spanning",
+                        lambda gp, *args: decided.append(gp) or real(gp, *args))
+    threshold_scan(ThresholdScan(host, perfect_matching_pattern(12), grid, trials=6, seed=seed))
+    assert decided == [sample_gp(host, p, child_seed(seed, t)) for t in range(6) for p in grid]
 
 
 def test_threshold_scan_replays_matching_rows(monkeypatch):
@@ -300,10 +273,6 @@ def test_scan_thm91_shapes_and_tail():
     bound = result["bad_vertex_bound"]
     sigma = math.sqrt(max(freq, 1e-4) / result["bad_vertex_samples"])
     assert freq <= bound + 3 * sigma
-    # degenerate split: all-triangle pattern reduces to a factor scan
-    all_tris = mixture_pattern(12, 2)
-    s = split_cliques(all_tris, 2)
-    assert len(s.h1_components) >= 1
 
 
 def test_named_hosts():

@@ -20,7 +20,6 @@ from spanembed.spread import (
     sample_coupled,
     sample_spread_matching,
     two_cprime_over_lambda,
-    verify_coupling_monotone,
 )
 
 PARAMS = FBParams(d=0.8, b=1, rho=0.1, mu=0.25, delta=2)
@@ -275,40 +274,6 @@ def test_estimate_spread_replays_at_seed_xor_i():
         ok = [d for d in draws if d.ok]
         assert 0 < len(ok) < 120
         assert (est.trials, est.hits) == (len(ok), sum(s <= d.matching for d in ok))
-
-
-def test_coupling_monotone_edge_absent_event():
-    lam, c = 4, 2
-    f = complete_instance(lam)
-    report = verify_coupling_monotone(
-        f, c, lambda z: (0, 0) not in z, trials=4000, seed=5, label="edge-absent")
-    assert not report.violation
-    # closed forms: Z1 misses with 1 - C/lam, Z2 with ((1-1/lam)^C)^2
-    z1_exact = 1 - c / lam
-    z2_exact = ((1 - 1 / lam) ** c) ** 2
-    assert abs(report.z1_estimate.estimate - z1_exact) <= 4 * report.z1_estimate.radius
-    assert abs(report.z2_estimate.estimate - z2_exact) <= 4 * report.z2_estimate.radius
-
-
-def test_coupling_monotone_empty_event_at_full_retention():
-    f = complete_instance(4)
-    report = verify_coupling_monotone(f, 4, lambda z: len(z) == 0,
-                                      trials=200, seed=2, label="empty")
-    assert report.z_estimate.estimate == 0.0
-    assert not report.violation
-
-
-def test_hall_failure_event_ordering_on_fb_instance():
-    f = random_instance(10, 0.8, seed=6)
-    from spanembed.spread import canonical_matching
-
-    def hall_violated(z):
-        size, _ = canonical_matching(10, z)
-        return size < 10
-
-    report = verify_coupling_monotone(f, 6, hall_violated, trials=2000, seed=8,
-                                      label="hall-violated")
-    assert not report.violation
 
 
 def test_default_constant_policy():

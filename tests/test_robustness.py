@@ -10,13 +10,16 @@ import pytest
 
 from conftest import random_graph
 from spanembed import robustness
+from spanembed.density import max_one_density
 from spanembed.errors import InvalidArgumentError
 from spanembed.graphs import (
     Graph,
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
+    disjoint_union,
     is_valid_embedding,
+    path_graph,
 )
 from spanembed.robustness import (
     _cliques_from,
@@ -180,6 +183,23 @@ def test_cliques_from_lists_cliques_by_least_vertex():
                 want = [c for c in itertools.combinations(range(n), r) if c[0] == v
                         and all(g.has_edge(a, b) for a, b in itertools.combinations(c, 2))]
                 assert _cliques_from(g, v, r) == want, (seed, r, v)
+
+
+def test_split_cliques_m1_is_componentwise_max():
+    # m1 of a union of K3, P3 and C4 is the larger of m1 over its K3 part and its rest
+    shapes = (complete_graph(3), path_graph(3), cycle_graph(4))
+    for seed in range(20):
+        rng = random.Random(seed)
+        h = disjoint_union(*(rng.choice(shapes) for _ in range(rng.randint(1, 3))))
+        if h.n > 8:
+            continue
+        h1, h2 = [], []
+        for comp in h.connected_components():
+            is_k3 = len(comp) == 3 and all(h.has_edge(u, v)
+                                           for u, v in itertools.combinations(comp, 2))
+            (h1 if is_k3 else h2).extend(comp)
+        vals = [max_one_density(h.induced(part))[0] for part in (h1, h2) if len(part) >= 2]
+        assert max_one_density(h)[0] == max(vals)
 
 
 def test_threshold_scan_rows_and_monotone_coupling():

@@ -1,10 +1,9 @@
 """Spanning-subgraph embedding, spread matchings, and robustness experiments."""
 
-from .graphs import Graph, parse_graph, format_graph, read_graph, write_graph
+from .graphs import Graph, parse_graph, format_graph, read_graph
 from .density import one_density, max_one_density
 from .regularity import (
     RegPairParams,
-    density,
     check_regular_pair,
     check_super_regular_pair,
 )

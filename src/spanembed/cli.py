@@ -32,7 +32,6 @@ from .errors import (
     InfeasibleParametersError,
     InvalidArgumentError,
     PartitionFailedError,
-    SpanembedError,
     UnsupportedSizeError,
 )
 from .graphs import complete_graph, disjoint_union, parse_int, read_graph
@@ -149,7 +148,7 @@ def cmd_m1(args) -> int:
 def cmd_embed_switch(args) -> int:
     g = read_graph(args.host)
     h = read_graph(args.pattern)
-    mapping = {}
+    mapping, line_of = {}, {}
     if args.phi:
         with open(args.phi, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -159,7 +158,12 @@ def cmd_embed_switch(args) -> int:
                     if len(parts) != 2:
                         raise InvalidArgumentError(
                             f"line {lineno}: expected 'x v', got {raw!r}")
-                    mapping[parse_int(parts[0], lineno)] = parse_int(parts[1], lineno)
+                    x = parse_int(parts[0], lineno)
+                    if x in line_of:
+                        raise InvalidArgumentError(
+                            f"line {lineno}: vertex {x} repeats line {line_of[x]}")
+                    line_of[x] = lineno
+                    mapping[x] = parse_int(parts[1], lineno)
     phi_s = PartialEmbedding.of(h, g, mapping)
     outcome = switching_embed(g, h, phi_s, args.seed)
     if not outcome.ok:
@@ -410,9 +414,6 @@ def main(argv=None) -> int:
             PartitionFailedError, EstimateUnreliableError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except SpanembedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
 
 
 if __name__ == "__main__":

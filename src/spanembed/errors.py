@@ -18,7 +18,7 @@ class InfeasibleParametersError(SpanembedError):
 
 
 class UnsupportedSizeError(SpanembedError):
-    """An instance exceeds what an exact routine can handle (enumeration, int32)."""
+    """An instance exceeds what an exact routine can handle (int32 indices or capacities)."""
 
 
 class GenerationFailedError(SpanembedError):

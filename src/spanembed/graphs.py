@@ -180,6 +180,16 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def subset_rows(n: int, floor: float) -> np.ndarray:
+    """0/1 float rows of every nonempty subset of range(n) with at least ``floor`` members.
+
+    Rows come in increasing bitmask order, bit i standing for member i.
+    """
+    masks = np.arange(1, 1 << n)
+    rows = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+    return rows[rows.sum(axis=1) >= floor]
+
+
 # -- construction helpers --------------------------------------------
 
 
@@ -272,11 +282,6 @@ def format_graph(g: Graph) -> str:
 def read_graph(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_graph(fh.read())
-
-
-def write_graph(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(g))
 
 
 def is_valid_embedding(h: Graph, g: Graph, phi: dict[int, int] | Sequence[int]) -> bool:

@@ -17,7 +17,6 @@ warm-start matching; containment of matching patterns uses it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,27 +67,17 @@ def hall_check(z: np.ndarray) -> HallVerdict:
     if size == len(z):
         return HallVerdict(True, None, size)
 
-    # alternating BFS from unmatched A-vertices: reachable A is deficient
-    pair_r = [UNMATCHED] * len(z)
-    for u, v in enumerate(mate.tolist()):
-        if v != UNMATCHED:
-            pair_r[v] = u
-    adj = [np.flatnonzero(row).tolist() for row in z]
-    reach_a = np.flatnonzero(mate == UNMATCHED).tolist()
-    seen_a = set(reach_a)
-    seen_b: set[int] = set()
-    q = deque(reach_a)
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if v in seen_b:
-                continue
-            seen_b.add(v)
-            w = pair_r[v]
-            if w != UNMATCHED and w not in seen_a:
-                seen_a.add(w)
-                q.append(w)
-    return HallVerdict(False, tuple(sorted(seen_a)), size)
+    # alternating reachability from unmatched rows: every reached column is
+    # matched, or the matching would not be maximum, so it leads to its row
+    pair_r = np.full(len(z), UNMATCHED)
+    matched = np.flatnonzero(mate != UNMATCHED)
+    pair_r[mate[matched]] = matched
+    reach = mate == UNMATCHED
+    count = 0
+    while (grown := np.count_nonzero(reach)) != count:
+        count = grown
+        reach[pair_r[z[reach].any(axis=0)]] = True
+    return HallVerdict(False, tuple(np.flatnonzero(reach).tolist()), size)
 
 
 def edmonds_matching(adj: Sequence[int], mate: Sequence[int] | None = None) -> list[int]:

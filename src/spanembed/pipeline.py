@@ -35,12 +35,7 @@ from .errors import (
 )
 from .graphs import Graph, bits
 from .partition import closed_second_neighborhood, distance_power_graph, equitable_coloring
-from .regularity import (
-    INCONCLUSIVE,
-    RegPairParams,
-    check_regular_pair,
-    check_super_regular_pair,
-)
+from .regularity import RegPairParams, check_regular_pair, check_super_regular_pair
 from .seeds import block_integers, check_seed, count_trials, fresh_seed, np_rng, py_rng
 from .spread import FBInstance, FBParams, SpreadEstimate, sample_spread_matching
 from .switching import PartialEmbedding, switching_embed
@@ -166,9 +161,9 @@ def generate_regular_host(r_graph: Graph, rprime: Graph, m: int, d: float,
         ok = True
         for i, j in sorted(r_graph.edges):
             check = check_super_regular_pair if (i, j) in rprime.edges else check_regular_pair
-            verdict = check(g, clusters[i], clusters[j], params, mode="refute",
+            verdict = check(g, clusters[i], clusters[j], params,
                             trials=REFUTER_TRIALS, seed=fresh_seed(master))
-            if verdict.kind != INCONCLUSIVE:
+            if verdict.refuted:
                 ok, last_witness = False, (verdict.witness_a, verdict.witness_b)
                 break
         if ok:

@@ -6,11 +6,11 @@ within eps of d(A,B).  Note the d - eps convention on the base density;
 the checkers follow it exactly, and tests that could be sensitive to a
 d-versus-(d-eps) reading say so in their names.
 
-Deciding regularity is co-exponential, so there are two modes: exact
-enumeration of every qualifying sub-pair (parts of size at most 14
-only), and a randomized refuter that samples qualifying sub-pairs and
-can only ever refute or stay inconclusive.  A third degree/codegree
-summary is provided for convenience and certifies nothing.
+Deciding regularity is co-exponential, so part size picks the method.
+A pair whose parts both have at most EXACT_LIMIT = 14 vertices is
+decided exactly from the degrees of A into every qualifying B'; a
+larger pair goes to a randomized refuter that samples qualifying
+sub-pairs and can only ever refute or stay inconclusive.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedSizeError
-from .graphs import Graph, bits, mask_of
+from .errors import InvalidArgumentError
+from .graphs import Graph, mask_of, subset_rows
 from .seeds import py_rng
 
 EXACT_LIMIT = 14
@@ -86,27 +86,20 @@ def check_regular_pair(
     a_side: Iterable[int],
     b_side: Iterable[int],
     params: RegPairParams,
-    mode: str = "exact",
     trials: int = 200,
     seed: int = 0,
 ) -> PairVerdict:
     """Certify, refute, or stay inconclusive about (eps,d)-regularity.
 
-    Exact mode enumerates all qualifying sub-pairs and either certifies
-    or returns a refuting witness; it refuses parts larger than
-    EXACT_LIMIT.  Refute mode samples ``trials`` random qualifying
+    A pair whose parts both have at most EXACT_LIMIT vertices is decided
+    exactly: it is certified, or refuted with a witness.  A larger pair
+    goes to the refuter, which samples ``trials`` random qualifying
     sub-pairs and returns either a refutation or inconclusive.
     """
     aa, bb = _check_sides(g, a_side, b_side)
-    if mode == "exact":
-        if len(aa) > EXACT_LIMIT or len(bb) > EXACT_LIMIT:
-            raise UnsupportedSizeError(
-                f"exact mode supports parts up to {EXACT_LIMIT}, got {len(aa)}+{len(bb)}"
-            )
+    if len(aa) <= EXACT_LIMIT and len(bb) <= EXACT_LIMIT:
         return _check_exact(g, aa, bb, params)
-    if mode == "refute":
-        return _check_refute(g, aa, bb, params, trials, seed)
-    raise InvalidArgumentError(f"unknown mode {mode!r}")
+    return _check_refute(g, aa, bb, params, trials, seed)
 
 
 def _base_density_refutation(g, aa, bb, params):
@@ -117,52 +110,40 @@ def _base_density_refutation(g, aa, bb, params):
 
 
 def _check_exact(g: Graph, aa: list[int], bb: list[int], params: RegPairParams) -> PairVerdict:
-    na, nb = len(aa), len(bb)
+    """Decide regularity from the degrees of every a into every qualifying B'.
+
+    For fixed B' and k, e(A', B') over all |A'| = k lies between the sum
+    of the k lowest and the sum of the k highest degrees into B', both
+    attained, and the deviation |e' |A||B| - e0 |A'||B'|| is convex in
+    e', so it peaks at one of those two ends.
+    """
     e0, bad = _base_density_refutation(g, aa, bb, params)
     if bad:
         return bad
-    # adjacency of each a-vertex as a bitmask over positions in bb
-    pos_b = {v: i for i, v in enumerate(bb)}
-    rows = []
-    for a in aa:
-        r = 0
-        for v in bits(g.adj[a] & mask_of(bb)):
-            r |= 1 << pos_b[v]
-        rows.append(r)
-
-    pop_b = _popcounts(nb)
-    pop_a = _popcounts(na)
-    sizes_b = pop_b.astype(np.int64)
-    sizes_a = pop_a.astype(np.int64)
-    qual_b = np.flatnonzero(sizes_b >= params.eps * nb)
-    qual_a = np.flatnonzero(sizes_a >= params.eps * na)
-    if len(qual_a) == 0 or len(qual_b) == 0:
-        return PairVerdict(CERTIFIED, detail="no qualifying sub-pairs")
-
-    # membership matrix of qualifying A-subsets: (num_qual_a, na)
-    amask = qual_a.astype(np.uint32)
-    a_members = ((amask[:, None] >> np.arange(na, dtype=np.uint32)) & 1).astype(np.float32)
-    sa = sizes_a[qual_a].astype(np.float64)
+    na, nb = len(aa), len(bb)
     ab = na * nb
-    row_arr = np.array(rows, dtype=np.uint32)
-
-    chunk = 2048
-    for start in range(0, len(qual_b), chunk):
-        bmask = qual_b[start:start + chunk].astype(np.uint32)
-        # per a-vertex degree into each B-subset of the chunk
-        degs = pop_b[(row_arr[:, None] & bmask[None, :])].astype(np.float32)
-        counts = a_members @ degs                       # exact small ints
-        sb = sizes_b[qual_b[start:start + chunk]].astype(np.float64)
-        # |e' * |A||B| - e0 * |A'||B'|| > eps * |A||B| * |A'||B'| ?
-        lhs = np.abs(counts.astype(np.float64) * ab - e0 * (sa[:, None] * sb[None, :]))
-        rhs = params.eps * ab * (sa[:, None] * sb[None, :])
-        viol = lhs > rhs
-        if viol.any():
-            i, j = np.argwhere(viol)[0]
-            wa = tuple(aa[k] for k in range(na) if (int(qual_a[i]) >> k) & 1)
-            wb = tuple(bb[k] for k in range(nb) if (int(qual_b[start + j]) >> k) & 1)
-            return PairVerdict(REFUTED, wa, wb, detail="sub-pair density deviates")
-    return PairVerdict(CERTIFIED)
+    adj = np.array([[g.adj[a] >> b & 1 for b in bb] for a in aa], dtype=float)
+    b_rows = subset_rows(nb, params.eps * nb)
+    degs = adj @ b_rows.T                       # (na, qualifying B'): exact small ints
+    low = np.zeros((na + 1, len(b_rows)))
+    np.cumsum(np.sort(degs, axis=0), axis=0, out=low[1:])   # low[k]: k lowest degrees
+    ks = np.arange(1, na + 1)
+    ks = ks[ks >= params.eps * na]
+    ends = np.stack([low[ks], low[na] - low[na - ks]])      # k lowest, k highest
+    sizes = ks[:, None] * b_rows.sum(axis=1)[None, :]
+    # |e' * |A||B| - e0 * |A'||B'|| > eps * |A||B| * |A'||B'| ?
+    dev = np.abs(ends * ab - e0 * sizes)
+    viol = dev > params.eps * ab * sizes
+    if not viol.any():
+        return PairVerdict(CERTIFIED)
+    # witness: the violating sub-pair whose density deviates most
+    end, i, j = np.unravel_index(np.argmax(np.where(viol, dev / sizes, -1)), viol.shape)
+    k = int(ks[i])
+    order = np.argsort(degs[:, j], kind="stable")
+    members = order[:k] if end == 0 else order[na - k:]
+    wa = tuple(aa[m] for m in sorted(members.tolist()))
+    wb = tuple(bb[m] for m in np.flatnonzero(b_rows[j]).tolist())
+    return PairVerdict(REFUTED, wa, wb, detail="sub-pair density deviates")
 
 
 def _check_refute(g, aa, bb, params, trials, seed) -> PairVerdict:
@@ -191,7 +172,6 @@ def check_super_regular_pair(
     a_side: Iterable[int],
     b_side: Iterable[int],
     params: RegPairParams,
-    mode: str = "exact",
     trials: int = 200,
     seed: int = 0,
 ) -> PairVerdict:
@@ -211,13 +191,4 @@ def check_super_regular_pair(
     for b in bb:
         if (g.adj[b] & mask_a).bit_count() < need_a:
             return PairVerdict(REFUTED, tuple(aa), (b,), detail="vertex degree below (d-eps)|A|")
-    return check_regular_pair(g, aa, bb, params, mode=mode, trials=trials, seed=seed)
-
-
-def _popcounts(nbits: int) -> np.ndarray:
-    """Popcount lookup for all masks on nbits bits."""
-    size = 1 << nbits
-    out = np.zeros(size, dtype=np.uint8)
-    for b in range(nbits):
-        out[1 << b: 1 << (b + 1)] = out[: 1 << b] + 1
-    return out
+    return check_regular_pair(g, aa, bb, params, trials=trials, seed=seed)

@@ -424,8 +424,6 @@ def scan_thm91_grid(delta: int, n: int, gamma: float, seed: int,
         "bad_vertex_frequency": bad / total if total else 0.0,
         "bad_vertex_bound": hypergeo_chernoff_bound(eps, t),
         "bad_vertex_samples": total,
-        "host": host,
-        "pattern": pattern,
     }
 
 

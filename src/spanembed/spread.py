@@ -40,7 +40,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graphs import parse_int
+from .graphs import parse_int, subset_rows
 from .matching import UNMATCHED, bipartite_matching, hall_check
 from .seeds import count_trials, fresh_seed, np_rng, py_rng
 from .tailbounds import confidence_radius
@@ -152,9 +152,7 @@ def check_fb_conditions(f: FBInstance, seed: int = 0,
     bad_cap = ratio * lam
     exact = lam <= FB3_EXACT_LIMIT
     if exact:
-        masks = np.arange(1, 1 << lam)
-        ws = ((masks[:, None] >> np.arange(lam)) & 1).astype(float)
-        ws = ws[ws.sum(axis=1) >= w_floor]
+        ws = subset_rows(lam, w_floor)
     else:
         rng = py_rng(seed)
         lo = max(1, int(-(-w_floor // 1)))

@@ -58,10 +58,6 @@ class PartialEmbedding:
     def as_dict(self) -> dict[int, int]:
         return dict(self.assignment)
 
-    @property
-    def domain(self) -> tuple[int, ...]:
-        return tuple(x for x, _ in self.assignment)
-
 
 @dataclass(frozen=True)
 class SwitchStep:
@@ -86,9 +82,6 @@ class SwitchOutcome:
     mapping: tuple[int, ...]          # mapping[x] = image of H-vertex x
     trace: SwitchTrace
     note: str = ""
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(enumerate(self.mapping))
 
 
 def delta_e_upper_bound(delta: int) -> Fraction:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from spanembed import cli, robustness
 from spanembed.cli import build_parser, main
+from spanembed.errors import InternalInvariantError
 from spanembed.graphs import Graph, complete_graph, cycle_graph, format_graph
 from spanembed.spread import FBInstance, FBParams, format_fb_instance
 
@@ -60,6 +61,10 @@ def test_m1_bad_file_is_exit_2(files, capsys):
         phi = write("phi.txt", text)
         assert main(["embed-switch", k3, k3, "--phi", phi]) == 2
         assert "line 1" in capsys.readouterr().err
+    # a pattern vertex mapped twice is refused, not resolved by its last line
+    phi = write("phi.txt", "0 0\n0 2\n")
+    assert main(["embed-switch", k3, k3, "--phi", phi]) == 2
+    assert "line 2: vertex 0 repeats line 1" in capsys.readouterr().err
 
 
 def test_embed_switch_subcommand(files, capsys):
@@ -240,6 +245,15 @@ def test_internal_key_error_propagates(monkeypatch):
         raise KeyError("internal")
     monkeypatch.setattr(cli, "cmd_m1", broken)
     with pytest.raises(KeyError):
+        main(["m1", "--graph", "g.txt"])
+
+
+def test_internal_invariant_error_propagates(monkeypatch):
+    # a failed postcondition is a bug, not invalid input: it is not turned into exit 2
+    def broken(args):
+        raise InternalInvariantError("postcondition")
+    monkeypatch.setattr(cli, "cmd_m1", broken)
+    with pytest.raises(InternalInvariantError):
         main(["m1", "--graph", "g.txt"])
 
 

@@ -1,4 +1,4 @@
-import importlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from catalog import m1_oracle
 from conftest import random_bounded_degree_graph, random_graph
+from spanembed import density
 from spanembed.density import (
     _component_m1_exhaustive,
     _component_m1_flow,
@@ -15,6 +16,11 @@ from spanembed.density import (
 )
 from spanembed.errors import InvalidArgumentError, UnsupportedSizeError
 from spanembed.graphs import Graph, complete_graph, cycle_graph
+
+
+def test_package_attribute_is_the_density_module():
+    # no function re-exported under the submodule's name shadows it
+    assert density is sys.modules["spanembed.density"]
 
 
 def test_one_density_examples():
@@ -144,7 +150,6 @@ K6_K4S_TAIL = Graph(46, _clique(range(6))
     (K6_K4S_TAIL, Fraction(3), [(1 << 26) - 1, 0b111111]),
 ])
 def test_flow_path_steps_to_the_densest_core(monkeypatch, g, value, found):
-    density = importlib.import_module("spanembed.density")
     real, seen = density._denser_set, []
 
     def recording(*args):
@@ -163,7 +168,6 @@ def test_flow_path_steps_to_the_densest_core(monkeypatch, g, value, found):
 def test_flow_path_refuses_capacities_past_int32(monkeypatch):
     # scipy's maximum_flow wraps int32 capacities silently; the bound
     # 2nm + 1 is checked before any flow is run
-    density = importlib.import_module("spanembed.density")
     monkeypatch.setattr(density, "_INT32_MAX", 2 * 25 * 25)
     with pytest.raises(UnsupportedSizeError):
         _component_m1_flow(cycle_graph(25))

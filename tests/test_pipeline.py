@@ -52,7 +52,7 @@ def test_generate_single_edge_host_is_super_regular():
     assert [len(c) for c in host.clusters] == [50, 50]
     params = RegPairParams(min(1.0, host.params.eps), host.params.d)
     verdict = check_super_regular_pair(host.g, host.clusters[0], host.clusters[1],
-                                       params, mode="refute", trials=300, seed=9)
+                                       params, trials=300, seed=9)
     assert verdict.kind == INCONCLUSIVE  # min-degree passed, refuter silent
 
 

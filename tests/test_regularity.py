@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_graph
-from spanembed.errors import InvalidArgumentError, UnsupportedSizeError
+from spanembed.errors import InvalidArgumentError
 from spanembed.graphs import Graph, complete_bipartite_graph, cycle_graph
 from spanembed.regularity import (
     CERTIFIED,
@@ -63,6 +64,25 @@ def table_regular_oracle(g, aa, bb, eps, d):
     return REFUTED if (dev[sizes > 0] > eps).any() else CERTIFIED
 
 
+def assert_witness_refutes(g, aa, bb, eps, d, verdict):
+    """A refuting witness meets the definition, checked in exact fractions.
+
+    eps and d are read as the decimals they are written as, so that 0.2 * 10 is 2.
+    """
+    eps, d = Fraction(str(eps)), Fraction(str(d))
+    e0 = sum(1 for a in aa for b in bb if g.has_edge(a, b))
+    d0 = Fraction(e0, len(aa) * len(bb))
+    if verdict.detail.startswith("base density"):
+        assert (verdict.witness_a, verdict.witness_b) == (tuple(aa), tuple(bb))
+        assert d0 < d - eps
+        return
+    wa, wb = verdict.witness_a, verdict.witness_b
+    assert set(wa) <= set(aa) and set(wb) <= set(bb)
+    assert len(wa) >= eps * len(aa) and len(wb) >= eps * len(bb)
+    e = sum(1 for a in wa for b in wb if g.has_edge(a, b))
+    assert abs(Fraction(e, len(wa) * len(wb)) - d0) > eps
+
+
 def test_density_examples():
     kb = complete_bipartite_graph(3, 4)
     assert density(kb, range(3), range(3, 7)) == 1.0
@@ -93,10 +113,7 @@ def test_perfect_matching_pair_verdicts_under_d_minus_eps_convention():
     assert hi.kind == pure_python_regular_oracle(g, aa, bb, 0.3, 0.3) == CERTIFIED
     lo = check_regular_pair(g, aa, bb, RegPairParams(0.2, 0.2))
     assert lo.kind == pure_python_regular_oracle(g, aa, bb, 0.2, 0.2) == REFUTED
-    assert lo.witness_a is not None and lo.witness_b is not None
-    # the returned witness really does deviate
-    dev = abs(density(g, lo.witness_a, lo.witness_b) - density(g, aa, bb))
-    assert dev > 0.2
+    assert_witness_refutes(g, aa, bb, 0.2, 0.2, lo)
 
 
 def test_base_density_refutation():
@@ -113,36 +130,63 @@ def test_exact_matches_pure_python_oracle_small_parts():
         aa, bb = list(range(na)), list(range(na, na + nb))
         eps = (0.2, 0.3, 0.45)[seed % 3]
         d = (0.3, 0.5)[seed % 2]
-        got = check_regular_pair(g, aa, bb, RegPairParams(eps, d)).kind
+        got = check_regular_pair(g, aa, bb, RegPairParams(eps, d))
         want = pure_python_regular_oracle(g, aa, bb, eps, d)
-        assert got == want, (seed, eps, d)
+        assert got.kind == want, (seed, eps, d)
+        if got.refuted:
+            assert_witness_refutes(g, aa, bb, eps, d, got)
 
 
-def test_exact_matches_table_oracle_on_12_12():
+def test_exact_matches_table_oracle():
+    # balanced 12x12 pairs, then unbalanced ones with either side the larger
     rng = np.random.default_rng(7)
-    for trial in range(3):
-        edges = [(a, b) for a in range(12) for b in range(12) if rng.random() < 0.5]
-        g = bipartite_graph(12, 12, edges)
-        aa, bb = list(range(12)), list(range(12, 24))
-        got = check_regular_pair(g, aa, bb, RegPairParams(0.25, 0.4)).kind
+    for na, nb in ((12, 12), (12, 12), (12, 12), (14, 6), (6, 14), (13, 9)):
+        edges = [(a, b) for a in range(na) for b in range(nb) if rng.random() < 0.5]
+        g = bipartite_graph(na, nb, edges)
+        aa, bb = list(range(na)), list(range(na, na + nb))
+        got = check_regular_pair(g, aa, bb, RegPairParams(0.25, 0.4))
         want = table_regular_oracle(g, aa, bb, 0.25, 0.4)
-        assert got == want
+        assert got.kind == want, (na, nb)
+        if got.refuted:
+            assert_witness_refutes(g, aa, bb, 0.25, 0.4, got)
 
 
-def test_exact_mode_size_guard():
-    g = complete_bipartite_graph(15, 5)
-    with pytest.raises(UnsupportedSizeError):
-        check_regular_pair(g, range(15), range(15, 20), RegPairParams(0.3, 0.5))
+def test_witness_deviates_most_when_a_violation_sits_on_eps():
+    # some sub-pairs of this seeded 10x9 pair deviate by exactly eps = 7/20,
+    # and 0.35 * 90 rounds down, so the float comparison flags them too;
+    # the witness is the violating sub-pair that deviates most
+    rng = np.random.default_rng(9389)
+    rng.integers(1, 11, size=2)          # the part sizes, 10 and 9, were drawn first
+    p = rng.random()
+    block = rng.random((10, 9)) < p
+    g = bipartite_graph(10, 9, [(a, b) for a in range(10) for b in range(9) if block[a, b]])
+    aa, bb = list(range(10)), list(range(10, 19))
+    v = check_regular_pair(g, aa, bb, RegPairParams(0.35, 0.1))
+    assert v.refuted
+    assert_witness_refutes(g, aa, bb, 0.35, 0.1, v)
+
+
+def test_part_size_picks_exact_check_or_refuter():
+    # parts of at most 14 are decided exactly; a larger part on either
+    # side goes to the refuter, which can never certify
+    kb = complete_bipartite_graph(14, 14)
+    assert check_regular_pair(kb, range(14), range(14, 28),
+                              RegPairParams(0.3, 0.5)).kind == CERTIFIED
+    for na, nb in ((15, 5), (5, 15)):
+        kb = complete_bipartite_graph(na, nb)
+        v = check_regular_pair(kb, range(na), range(na, na + nb), RegPairParams(0.3, 0.5))
+        assert v.kind == INCONCLUSIVE
 
 
 def test_refute_mode_finds_witness_or_stays_quiet():
     g = bipartite_graph(20, 20, [(i, i) for i in range(20)])
     v = check_regular_pair(g, range(20), range(20, 40), RegPairParams(0.1, 0.05),
-                           mode="refute", trials=400, seed=3)
+                           trials=400, seed=3)
     assert v.kind == REFUTED
+    assert_witness_refutes(g, list(range(20)), list(range(20, 40)), 0.1, 0.05, v)
     kb = complete_bipartite_graph(20, 20)
     v = check_regular_pair(kb, range(20), range(20, 40), RegPairParams(0.2, 0.9),
-                           mode="refute", trials=200, seed=3)
+                           trials=200, seed=3)
     assert v.kind == INCONCLUSIVE
 
 
@@ -169,7 +213,7 @@ def test_generated_double_density_pairs_pass_super_regular_check():
         g = bipartite_graph(m, m, [(a, b) for a in range(m) for b in range(m)
                                    if block[a, b]])
         verdict = check_super_regular_pair(g, range(m), range(m, 2 * m), params,
-                                           mode="refute", trials=60, seed=3)
+                                           trials=60, seed=3)
         passed += verdict.kind != REFUTED
     assert passed >= 95
 

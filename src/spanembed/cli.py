@@ -34,7 +34,7 @@ from .errors import (
     PartitionFailedError,
     UnsupportedSizeError,
 )
-from .graphs import complete_graph, disjoint_union, parse_int, read_graph
+from .graphs import complete_graph, disjoint_union, int_pairs, read_graph, records
 from .partition import clique_factor, equitable_coloring, format_partition
 from .pipeline import (
     RGAConfig,
@@ -85,22 +85,16 @@ def parse_config(path: str, keys: tuple[str, ...]) -> dict[str, tuple[int, str]]
     """
     out: dict[str, tuple[int, str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" in line:
-                key, _, val = line.partition("=")
-            else:
-                key, _, val = line.partition(" ")
-            key = key.strip()
-            if key not in keys:
-                raise InvalidArgumentError(
-                    f"line {lineno}: unknown key {key!r}; expected one of {' '.join(keys)}")
-            if key in out:
-                raise InvalidArgumentError(
-                    f"line {lineno}: key {key!r} repeats line {out[key][0]}")
-            out[key] = (lineno, val.strip())
+        text = fh.read()
+    for lineno, line in records(text):
+        key, _, val = line.partition("=" if "=" in line else " ")
+        key = key.strip()
+        if key not in keys:
+            raise InvalidArgumentError(
+                f"line {lineno}: unknown key {key!r}; expected one of {' '.join(keys)}")
+        if key in out:
+            raise InvalidArgumentError(f"line {lineno}: key {key!r} repeats line {out[key][0]}")
+        out[key] = (lineno, val.strip())
     return out
 
 
@@ -151,19 +145,12 @@ def cmd_embed_switch(args) -> int:
     mapping, line_of = {}, {}
     if args.phi:
         with open(args.phi, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    parts = line.split()
-                    if len(parts) != 2:
-                        raise InvalidArgumentError(
-                            f"line {lineno}: expected 'x v', got {raw!r}")
-                    x = parse_int(parts[0], lineno)
-                    if x in line_of:
-                        raise InvalidArgumentError(
-                            f"line {lineno}: vertex {x} repeats line {line_of[x]}")
-                    line_of[x] = lineno
-                    mapping[x] = parse_int(parts[1], lineno)
+            _, pairs = int_pairs(fh.read())
+        for lineno, x, v in pairs:
+            if x in line_of:
+                raise InvalidArgumentError(f"line {lineno}: vertex {x} repeats line {line_of[x]}")
+            line_of[x] = lineno
+            mapping[x] = v
     phi_s = PartialEmbedding.of(h, g, mapping)
     outcome = switching_embed(g, h, phi_s, args.seed)
     if not outcome.ok:

@@ -13,12 +13,15 @@ Text format, shared by every module and the CLI::
     2 5
 
 First line ``n <count>``, then one ``u v`` pair per line, 0-based,
-whitespace-separated.  Writers emit edges sorted with u < v.
+whitespace-separated.  Writers emit edges sorted with u < v.  Every
+text reader of the toolkit goes through ``records``: ``#`` starts a
+comment that runs to the end of the line, blank lines are skipped, and
+a malformed line is reported with its number.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +33,7 @@ Edge = tuple[int, int]
 class Graph:
     """Immutable simple graph: no loops, no parallel edges."""
 
-    __slots__ = ("n", "edges", "adj", "_adj_matrix", "_max_degree")
+    __slots__ = ("n", "edges", "adj", "_adj_matrix", "_max_degree", "_components")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
@@ -52,12 +55,9 @@ class Graph:
         self.adj = tuple(adj)
         self._adj_matrix = None
         self._max_degree = None
+        self._components = None
 
     # -- basic queries ------------------------------------------------
-
-    def __contains__(self, edge: Edge) -> bool:
-        u, v = edge
-        return 0 <= u < self.n and bool(self.adj[u] >> v & 1)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -118,22 +118,25 @@ class Graph:
         return Graph(len(vertices), es)
 
     def connected_components(self) -> list[list[int]]:
-        seen = 0
-        comps = []
-        for s in range(self.n):
-            if seen >> s & 1:
-                continue
-            frontier = 1 << s
-            comp = frontier
-            while frontier:
-                nxt = 0
-                for v in bits(frontier):
-                    nxt |= self.adj[v]
-                frontier = nxt & ~comp
-                comp |= frontier
-            seen |= comp
-            comps.append(bits(comp))
-        return comps
+        """Vertex lists of the components by least vertex (cached; fresh lists per call)."""
+        if self._components is None:
+            seen = 0
+            comps = []
+            for s in range(self.n):
+                if seen >> s & 1:
+                    continue
+                frontier = 1 << s
+                comp = frontier
+                while frontier:
+                    nxt = 0
+                    for v in bits(frontier):
+                        nxt |= self.adj[v]
+                    frontier = nxt & ~comp
+                    comp |= frontier
+                seen |= comp
+                comps.append(tuple(bits(comp)))
+            self._components = tuple(comps)
+        return [list(c) for c in self._components]
 
     def bfs_distances(self, source: int) -> list[int]:
         """Hop distances from source; -1 for unreachable vertices."""
@@ -171,6 +174,16 @@ def bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def clique_component_size(g: Graph) -> int | None:
+    """r if every component of g is a clique on r vertices; None otherwise or for no vertices."""
+    comps = g.connected_components()
+    sizes = {len(c) for c in comps}
+    if len(sizes) != 1:
+        return None
+    r = sizes.pop()
+    return r if g.num_edges() == len(comps) * r * (r - 1) // 2 else None
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -250,27 +263,42 @@ def parse_int(token: str, lineno: int) -> int:
             f"line {lineno}: expected an integer, got {token!r}") from None
 
 
-def parse_graph(text: str) -> Graph:
-    n = None
-    edges = []
+def records(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line with its ``#`` comment cut off) for each line that is not blank."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != "n":
+        if line:
+            yield lineno, line
+
+
+def int_pairs(text: str, header: str | None = None) -> tuple[int, list[tuple[int, int, int]]]:
+    """The ``a b`` integer lines of ``text`` as (line number, a, b).
+
+    With ``header``, the first line must read ``<header> <count>`` and
+    the count comes first in the result; without one it is 0.
+    """
+    count = None if header else 0
+    pairs = []
+    for lineno, line in records(text):
+        tokens = line.split()
+        if count is None:
+            if len(tokens) != 2 or tokens[0] != header:
                 raise InvalidArgumentError(
-                    f"line {lineno}: expected header 'n <count>', got {raw!r}"
-                )
-            n = parse_int(parts[1], lineno)
-            continue
-        if len(parts) != 2:
-            raise InvalidArgumentError(f"line {lineno}: expected 'u v', got {raw!r}")
-        edges.append((parse_int(parts[0], lineno), parse_int(parts[1], lineno)))
-    if n is None:
-        raise InvalidArgumentError("missing 'n <count>' header")
-    return Graph(n, edges)
+                    f"line {lineno}: expected header '{header} <count>', got {line!r}")
+            count = parse_int(tokens[1], lineno)
+        elif len(tokens) != 2:
+            raise InvalidArgumentError(f"line {lineno}: expected 'a b', got {line!r}")
+        else:
+            pairs.append((lineno, parse_int(tokens[0], lineno), parse_int(tokens[1], lineno)))
+    if count is None:
+        raise InvalidArgumentError(f"line {len(text.splitlines()) + 1}: expected header "
+                                   f"'{header} <count>', got the end of the input")
+    return count, pairs
+
+
+def parse_graph(text: str) -> Graph:
+    n, pairs = int_pairs(text, "n")
+    return Graph(n, [(u, v) for _, u, v in pairs])
 
 
 def format_graph(g: Graph) -> str:
@@ -286,19 +314,11 @@ def read_graph(path) -> Graph:
 
 def is_valid_embedding(h: Graph, g: Graph, phi: dict[int, int] | Sequence[int]) -> bool:
     """True iff phi maps V(H) injectively into V(G) sending H-edges to G-edges."""
-    if isinstance(phi, dict):
-        items = phi
-        get = phi.__getitem__
-        dom = set(phi)
-    else:
-        items = range(len(phi))
-        get = phi.__getitem__
-        dom = set(range(len(phi)))
-    if dom != set(range(h.n)):
+    if not isinstance(phi, dict):
+        phi = dict(enumerate(phi))
+    if set(phi) != set(range(h.n)):
         return False
-    images = [get(x) for x in sorted(dom)]
-    if len(set(images)) != len(images):
+    images = list(phi.values())
+    if len(set(images)) != len(images) or any(not 0 <= v < g.n for v in images):
         return False
-    if any(not (0 <= v < g.n) for v in images):
-        return False
-    return all(g.has_edge(get(x), get(y)) for x, y in h.edges)
+    return all(g.has_edge(phi[x], phi[y]) for x, y in h.edges)

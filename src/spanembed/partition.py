@@ -21,7 +21,7 @@ from .errors import (
     InternalInvariantError,
     InvalidArgumentError,
 )
-from .graphs import Graph, bits, mask_of, parse_int
+from .graphs import Graph, bits, mask_of, parse_int, records
 
 MAX_RESTARTS = 60
 EXHAUSTIVE_N = 12
@@ -290,9 +290,5 @@ def format_partition(parts: Sequence[Sequence[int]]) -> str:
 
 
 def parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
-    parts = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            parts.append(tuple(parse_int(tok, lineno) for tok in line.split()))
-    return tuple(parts)
+    return tuple(tuple(parse_int(tok, lineno) for tok in line.split())
+                 for lineno, line in records(text))

@@ -10,10 +10,12 @@ matchings of the bipartite candidate graphs, so that the resulting
 distribution over embeddings spreads no vertex pair above O(1/n).
 
 Hosts are generated synthetically rather than extracted from a
-regularity partition: each reduced-graph node blows up to a cluster of
-m fresh vertices, cross-pairs get independent edges (probability 2d on
-super-regular pairs, d on merely regular ones), and the construction is
-re-verified with the regularity checkers before use.
+regularity partition: reduced-graph node i blows up to the cluster of
+m vertices [i m, (i+1) m), cross-pairs get independent edges
+(probability 2d on super-regular pairs, d on merely regular ones), and
+the construction is re-verified with the regularity checkers before
+use.  The blow-up R* of R on which the pattern is partitioned numbers
+its slots the same way, so a slot of R* is a host vertex.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     GenerationFailedError,
     PartitionFailedError,
 )
-from .graphs import Graph, bits
+from .graphs import Graph, bits, clique_component_size
 from .partition import closed_second_neighborhood, distance_power_graph, equitable_coloring
 from .regularity import RegPairParams, check_regular_pair, check_super_regular_pair
 from .seeds import block_integers, check_seed, count_trials, fresh_seed, np_rng, py_rng
@@ -62,36 +64,32 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class PartitionedHost:
-    """Host graph with clusters, reduced graph R, and super-regular factor R'."""
+    """Host graph G, reduced graph R and super-regular factor R'.
 
-    __slots__ = ("g", "clusters", "r_graph", "rprime", "params",
-                 "cluster_of", "cluster_index", "_cluster_bool", "_cluster_adj")
+    Node i of R owns the vertex block V_i = [i m, (i+1) m) of G, where
+    m = |V(G)| / |V(R)|: the slot layout of the blow-up R* of R, so a
+    host vertex and its R*-slot share one index.  ``cluster_of[v]`` and
+    ``cluster_index[v]`` are v // m.
+    """
 
-    def __init__(self, g: Graph, clusters: Sequence[Sequence[int]],
-                 r_graph: Graph, rprime: Graph, params: HostParams):
+    __slots__ = ("g", "m", "clusters", "r_graph", "rprime", "params",
+                 "cluster_of", "cluster_index", "_cluster_adj")
+
+    def __init__(self, g: Graph, r_graph: Graph, rprime: Graph, params: HostParams):
         if rprime.n != r_graph.n or not rprime.edges <= r_graph.edges:
             raise InvalidArgumentError("R' must be a spanning subgraph of R")
-        if len(clusters) != r_graph.n:
-            raise InvalidArgumentError("one cluster per reduced-graph node required")
+        r = r_graph.n
+        if r == 0 or g.n == 0 or g.n % r:
+            raise InvalidArgumentError(
+                f"host vertex count {g.n} is not a positive multiple of r = {r}")
+        m = self.m = g.n // r
         self.g = g
-        self.clusters = tuple(tuple(sorted(c)) for c in clusters)
+        self.clusters = tuple(tuple(range(i * m, (i + 1) * m)) for i in range(r))
         self.r_graph = r_graph
         self.rprime = rprime
         self.params = params
-        cluster_of = [-1] * g.n
-        for i, cl in enumerate(self.clusters):
-            for v in cl:
-                if cluster_of[v] != -1:
-                    raise InvalidArgumentError(f"vertex {v} in two clusters")
-                cluster_of[v] = i
-        if any(c < 0 for c in cluster_of):
-            raise InvalidArgumentError("clusters do not cover the host vertex set")
-        sizes = [len(c) for c in self.clusters]
-        if min(sizes) == 0 or max(sizes) != min(sizes):
-            raise InvalidArgumentError(f"cluster sizes {sizes} are not all equal")
-        self.cluster_of = tuple(cluster_of)
-        self.cluster_index = _frozen(np.array(cluster_of, dtype=np.intp))
-        self._cluster_bool = None
+        self.cluster_index = _frozen(np.arange(g.n, dtype=np.intp) // m)
+        self.cluster_of = tuple(self.cluster_index.tolist())
         self._cluster_adj = None
 
     @property
@@ -102,23 +100,18 @@ class PartitionedHost:
         return self.g.adjacency_matrix()
 
     def cluster_bool(self) -> np.ndarray:
-        if self._cluster_bool is None:
-            m = np.zeros((self.r, self.g.n), dtype=bool)
-            for i, cl in enumerate(self.clusters):
-                m[i, list(cl)] = True
-            self._cluster_bool = m
-        return self._cluster_bool
+        """r x n membership matrix: row i marks the vertices of V_i."""
+        return self.cluster_index == np.arange(self.r)[:, None]
 
     def cluster_adj(self) -> tuple[np.ndarray, ...]:
-        """Per cluster i, the host columns ``adj[:, V_i]`` (cached, read-only)."""
+        """Per cluster i, the host columns ``adj[:, V_i]`` as read-only views (cached)."""
         if self._cluster_adj is None:
-            adj = self.adj_bool()
-            self._cluster_adj = tuple(_frozen(adj[:, cl]) for cl in self.clusters)
+            adj, m = self.adj_bool(), self.m
+            self._cluster_adj = tuple(_frozen(adj[:, i * m:(i + 1) * m]) for i in range(self.r))
         return self._cluster_adj
 
     def __repr__(self):
-        return (f"PartitionedHost(n={self.g.n}, r={self.r}, "
-                f"sizes={[len(c) for c in self.clusters]})")
+        return f"PartitionedHost(n={self.g.n}, r={self.r}, m={self.m})"
 
 
 def generate_regular_host(r_graph: Graph, rprime: Graph, m: int, d: float,
@@ -143,7 +136,6 @@ def generate_regular_host(r_graph: Graph, rprime: Graph, m: int, d: float,
     n = r * m
     eps = 4.0 / math.sqrt(m)
     params = RegPairParams(min(eps, 1.0), d)
-    clusters = [list(range(i * m, (i + 1) * m)) for i in range(r)]
     master = py_rng(seed)
     last_witness = None
 
@@ -156,19 +148,16 @@ def generate_regular_host(r_graph: Graph, rprime: Graph, m: int, d: float,
             us, vs = np.nonzero(block)
             base_i, base_j = i * m, j * m
             edges.extend(zip((us + base_i).tolist(), (vs + base_j).tolist()))
-        g = Graph(n, edges)
-
-        ok = True
+        host = PartitionedHost(Graph(n, edges), r_graph, rprime, HostParams(eps, d))
         for i, j in sorted(r_graph.edges):
             check = check_super_regular_pair if (i, j) in rprime.edges else check_regular_pair
-            verdict = check(g, clusters[i], clusters[j], params,
+            verdict = check(host.g, host.clusters[i], host.clusters[j], params,
                             trials=REFUTER_TRIALS, seed=fresh_seed(master))
             if verdict.refuted:
-                ok, last_witness = False, (verdict.witness_a, verdict.witness_b)
+                last_witness = (verdict.witness_a, verdict.witness_b)
                 break
-        if ok:
-            return PartitionedHost(g, clusters, r_graph, rprime,
-                                   HostParams(eps, d))
+        else:
+            return host
     raise GenerationFailedError(
         f"host verification failed in {HOST_ATTEMPTS} attempts", witness=last_witness
     )
@@ -219,7 +208,7 @@ class PartitionedPattern:
         for x, allowed in self.restrictions.items():
             i = self.part_of[x]
             counts[i] += 1
-            if len(allowed) < zeta * len(host.clusters[i]):
+            if len(allowed) < zeta * host.m:
                 return False
         return all(c <= rho * len(p) for c, p in zip(counts, self.parts))
 
@@ -229,9 +218,8 @@ class PartitionedPattern:
             raise InternalInvariantError("pattern parts must align with host clusters")
         covered = set()
         for i, part in enumerate(self.parts):
-            if len(part) != len(host.clusters[i]):
-                raise InternalInvariantError(
-                    f"|X_{i}| = {len(part)} != |V_{i}| = {len(host.clusters[i])}")
+            if len(part) != host.m:
+                raise InternalInvariantError(f"|X_{i}| = {len(part)} != |V_{i}| = {host.m}")
             covered |= set(part)
         if covered != set(range(h.n)):
             raise InternalInvariantError("parts do not partition the pattern vertices")
@@ -267,19 +255,6 @@ class PartitionedPattern:
         return f"PartitionedPattern(n={self.h.n}, r={len(self.parts)})"
 
 
-def _rprime_cliques(rprime: Graph) -> list[list[int]]:
-    comps = rprime.connected_components()
-    ell = len(comps[0])
-    for comp in comps:
-        if len(comp) != ell:
-            raise InvalidArgumentError("R' components must be cliques of equal size")
-        for a in range(len(comp)):
-            for b in range(a + 1, len(comp)):
-                if not rprime.has_edge(comp[a], comp[b]):
-                    raise InvalidArgumentError("R' component is not a clique")
-    return comps
-
-
 def partition_pattern(h: Graph, host: PartitionedHost,
                       xstar: Mapping[int, Iterable[int]] | None,
                       alpha: float, seed: int) -> PartitionedPattern:
@@ -303,7 +278,9 @@ def partition_pattern(h: Graph, host: PartitionedHost,
     if not 0 < alpha < 1:
         raise InvalidArgumentError(f"alpha must lie in (0,1), got {alpha}")
     delta = max(1, h.max_degree())
-    cliques = _rprime_cliques(host.rprime)
+    if clique_component_size(host.rprime) is None:
+        raise InvalidArgumentError("R' components must be cliques of equal size")
+    cliques = host.rprime.connected_components()
     if any(len(c) < delta + 1 for c in cliques):
         raise InfeasibleParametersError(
             f"R' cliques must have at least delta+1 = {delta + 1} nodes")
@@ -317,7 +294,7 @@ def partition_pattern(h: Graph, host: PartitionedHost,
     if len(set(xstar_all)) != len(xstar_all):
         raise InvalidArgumentError("pre-placed parts overlap")
     for i, vs in xstar.items():
-        if len(vs) > alpha * len(host.clusters[i]):
+        if len(vs) > alpha * host.m:
             raise InvalidArgumentError(f"pre-placed part {i} exceeds alpha |V_{i}|")
     for x, y in h.edges:
         ix = next((i for i, vs in xstar.items() if x in vs), None)
@@ -339,7 +316,7 @@ def partition_pattern(h: Graph, host: PartitionedHost,
     coloring = equitable_coloring(pw, pw.max_degree() + 1)
     b0_local = max(coloring.parts, key=lambda p: (len(p), -min(p) if p else 0))
     b0 = sorted(u_verts[i] for i in b0_local)
-    needs = [int(-(-alpha * len(cl) // 1)) for cl in host.clusters]
+    needs = [int(-(-alpha * host.m // 1))] * host.r
     if sum(needs) > len(b0):
         raise InfeasibleParametersError(
             f"need {sum(needs)} buffer candidates, independent set has {len(b0)}")
@@ -380,10 +357,9 @@ def partition_pattern(h: Graph, host: PartitionedHost,
         for x in vs:
             take_slot(i, x)
 
-    # Step III: extend to all of H on the blow-up of R
-    rstar = blow_up(host.r_graph, [len(cl) for cl in host.clusters])
-    host_index = {v: idx for idx, v in enumerate(_blowup_order(host))}
-    phi_s = PartialEmbedding.of(h, rstar, {x: host_index[v] for x, v in placed.items()})
+    # Step III: extend to all of H on the blow-up of R, whose slots are host vertices
+    rstar = blow_up(host.r_graph, [host.m] * host.r)
+    phi_s = PartialEmbedding.of(h, rstar, placed)
     outcome = None
     for _ in range(SWITCH_ATTEMPTS):
         outcome = switching_embed(rstar, h, phi_s, fresh_seed(master))
@@ -394,11 +370,9 @@ def partition_pattern(h: Graph, host: PartitionedHost,
             "switching embedder could not complete the pattern partition",
             trace=None if outcome is None else outcome.trace)
 
-    order = _blowup_order(host)
     parts: list[list[int]] = [[] for _ in range(host.r)]
     for x in range(h.n):
-        v = order[outcome.mapping[x]]
-        parts[host.cluster_of[v]].append(x)
+        parts[host.cluster_of[outcome.mapping[x]]].append(x)
     pattern = PartitionedPattern(h, parts, buffers, {}, PatternParams(alpha, delta))
     pattern.validate(host)
     return pattern
@@ -418,14 +392,6 @@ def blow_up(r_graph: Graph, sizes: Sequence[int]) -> Graph:
             for a in range(sizes[i]) for b in range(sizes[j])
         )
     return Graph(o, edges)
-
-
-def _blowup_order(host: PartitionedHost) -> list[int]:
-    """Host vertices in cluster-block order, matching blow_up's slot layout."""
-    out = []
-    for cl in host.clusters:
-        out.extend(cl)
-    return out
 
 
 # -- random greedy stage -----------------------------------------------
@@ -486,11 +452,11 @@ def rga_embed(host: PartitionedHost, pattern: PartitionedPattern,
     queues = [[x for x in part if x not in excluded] for part in pattern.parts]
     order = [x for tier in zip_longest(*queues) for x in tier if x is not None]
 
-    # per cluster: its vertices, its free slots, every host row restricted to
-    # it, and the candidate floor; candidates are slot indices into the cluster
+    # per cluster: its vertices, its free slots and every host row restricted
+    # to it; candidates are slot indices into the cluster
     clusters, cluster_adj = host.clusters, host.cluster_adj()
-    free = [np.ones(len(cl), dtype=bool) for cl in clusters]
-    floors = [max(1, int(cfg.floor_fraction * len(cl))) for cl in clusters]
+    free = [np.ones(host.m, dtype=bool) for _ in clusters]
+    floor = max(1, int(cfg.floor_fraction * host.m))
     part_of, nbrs = pattern.part_of, pattern.nbrs
     restr_masks = {x: np.isin(clusters[part_of[x]], allowed)
                    for x, allowed in pattern.restrictions.items()}
@@ -512,7 +478,7 @@ def rga_embed(host: PartitionedHost, pattern: PartitionedPattern,
         cands = avail.nonzero()[0]
         k = len(cands)
         sizes.append(k)
-        if k < floors[part]:
+        if k < floor:
             return RGAResult(False, phi, tuple(sizes), tuple(buffer_sets), fail_index=t)
         slot = cands[pick_slot(k)]
         phi[x] = clusters[part][slot]
@@ -547,7 +513,7 @@ def complete_with_buffers(host: PartitionedHost, pattern: PartitionedPattern,
     if not rga.ok:
         raise InvalidArgumentError("cannot complete a failed greedy stage")
     adj = host.adj_bool()
-    n = host.g.n
+    n, m = host.g.n, host.m
     used = np.zeros(n, dtype=bool)
     used[list(rga.phi.values())] = True
     master = py_rng(seed)
@@ -557,7 +523,7 @@ def complete_with_buffers(host: PartitionedHost, pattern: PartitionedPattern,
     delta = max(1, pattern.params.delta)
     for i in range(host.r):
         a_list = rga.buffer_sets[i]
-        free = np.flatnonzero(host.cluster_bool()[i] & ~used)
+        free = i * m + np.flatnonzero(~used[i * m:(i + 1) * m])
         if len(a_list) != len(free):
             raise InternalInvariantError(
                 f"part {i}: {len(a_list)} buffers vs {len(free)} free vertices")

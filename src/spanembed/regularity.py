@@ -51,10 +51,6 @@ class PairVerdict:
     detail: str = ""
 
     @property
-    def certified(self) -> bool:
-        return self.kind == CERTIFIED
-
-    @property
     def refuted(self) -> bool:
         return self.kind == REFUTED
 

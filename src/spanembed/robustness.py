@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from .errors import InternalInvariantError, InvalidArgumentError
 from .graphs import (
     Graph,
     bits,
+    clique_component_size,
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
@@ -101,7 +101,7 @@ def contains_spanning(gp: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> Cont
         return ContainVerdict(NO, nodes_used=0)
     if h_max_degree <= 1:
         return _contains_matching(gp, h)
-    factor_r = _clique_factor_shape(h)
+    factor_r = clique_component_size(h)     # at least 3: H has maximum degree 2 or more
     if factor_r is not None:
         return _contains_clique_factor(gp, h, factor_r, budget)
     return _contains_backtracking(gp, h, budget)
@@ -145,18 +145,6 @@ def _greedy_matching(gp: Graph) -> list[int]:
             mate[v], mate[w] = w, v
             used |= (1 << v) | (1 << w)
     return mate
-
-
-def _clique_factor_shape(h: Graph) -> int | None:
-    """r if H is a disjoint union of K_r's covering all vertices (r >= 3)."""
-    comps = h.connected_components()
-    sizes = {len(c) for c in comps}
-    if len(sizes) != 1:
-        return None
-    r = sizes.pop()
-    if r < 3 or h.num_edges() != len(comps) * r * (r - 1) // 2:
-        return None
-    return r
 
 
 def _contains_clique_factor(gp: Graph, h: Graph, r: int, budget: int) -> ContainVerdict:
@@ -398,11 +386,12 @@ def scan_thm91_grid(delta: int, n: int, gamma: float, seed: int,
     kb = math.comb(delta + 1, 2)
     base_a = n ** (-1 / m1) * logn
     base_b = n ** (-2 / (delta + 1)) * logn ** (1 / kb)
-    grid_a = tuple(sorted(min(1.0, c * base_a) for c in (0.25, 0.5, 1.0, 2.0)))
-    grid_b = tuple(sorted(min(1.0, c * base_b) for c in (0.25, 0.5, 1.0, 2.0)))
-    rows = threshold_scan(ThresholdScan(host, pattern, _dedup(grid_a), trials,
+    # the clamp to 1.0 can repeat a point; a grid lists each once
+    grid_a = tuple(sorted({min(1.0, c * base_a) for c in (0.25, 0.5, 1.0, 2.0)}))
+    grid_b = tuple(sorted({min(1.0, c * base_b) for c in (0.25, 0.5, 1.0, 2.0)}))
+    rows = threshold_scan(ThresholdScan(host, pattern, grid_a, trials,
                                         child_seed(seed, 1), budget, kind="m1-grid"))
-    rows += threshold_scan(ThresholdScan(host, pattern, _dedup(grid_b), trials,
+    rows += threshold_scan(ThresholdScan(host, pattern, grid_b, trials,
                                          child_seed(seed, 2), budget, kind="improved-grid"))
 
     k = n // 2
@@ -425,14 +414,6 @@ def scan_thm91_grid(delta: int, n: int, gamma: float, seed: int,
         "bad_vertex_bound": hypergeo_chernoff_bound(eps, t),
         "bad_vertex_samples": total,
     }
-
-
-def _dedup(grid: Sequence[float]) -> tuple[float, ...]:
-    out: list[float] = []
-    for p in grid:
-        if not out or p > out[-1]:
-            out.append(p)
-    return tuple(out)
 
 
 # -- named hosts and patterns -------------------------------------------

@@ -40,7 +40,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graphs import parse_int, subset_rows
+from .graphs import int_pairs, subset_rows
 from .matching import UNMATCHED, bipartite_matching, hall_check
 from .seeds import count_trials, fresh_seed, np_rng, py_rng
 from .tailbounds import confidence_radius
@@ -359,26 +359,12 @@ def estimate_matching_spread(f: FBInstance, c: int, s_edges: Iterable[BipEdge],
 
 def parse_fb_instance(text: str, params: FBParams) -> FBInstance:
     """Read `bipartite lam` then `a b` lines with sides [0,lam) and [lam,2lam)."""
-    lam = None
+    lam, pairs = int_pairs(text, "bipartite")
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if lam is None:
-            if len(parts) != 2 or parts[0] != "bipartite":
-                raise InvalidArgumentError(f"line {lineno}: expected 'bipartite <lam>'")
-            lam = parse_int(parts[1], lineno)
-            continue
-        if len(parts) != 2:
-            raise InvalidArgumentError(f"line {lineno}: expected 'a b', got {raw!r}")
-        a, b = parse_int(parts[0], lineno), parse_int(parts[1], lineno)
+    for lineno, a, b in pairs:
         if not (0 <= a < lam <= b < 2 * lam):
             raise InvalidArgumentError(f"line {lineno}: edge ({a},{b}) violates side ranges")
         edges.append((a, b - lam))
-    if lam is None:
-        raise InvalidArgumentError("missing 'bipartite <lam>' header")
     return FBInstance(lam, edges, params)
 
 

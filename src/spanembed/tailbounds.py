@@ -8,6 +8,9 @@ from scipy.stats import beta as _beta
 
 from .errors import InvalidArgumentError
 
+CONFIDENCE = 0.99           # level of the exact binomial intervals
+WILSON_Z = 1.96             # normal quantile of the Wilson interval (95%)
+
 
 def hypergeo_chernoff_bound(eps: float, t: float) -> float:
     """Chernoff-style tail bound 2 exp(-eps^2 t / 3) for hypergeometric deviations.
@@ -22,31 +25,32 @@ def hypergeo_chernoff_bound(eps: float, t: float) -> float:
     return 2.0 * math.exp(-eps * eps * t / 3.0)
 
 
-def clopper_pearson(hits: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Exact binomial confidence interval for hits out of trials."""
+def clopper_pearson(hits: int, trials: int) -> tuple[float, float]:
+    """Exact binomial interval at level CONFIDENCE for hits out of trials."""
     if trials < 0 or not 0 <= hits <= max(trials, 0):
         raise InvalidArgumentError(f"bad counts hits={hits} trials={trials}")
     if trials == 0:
         return 0.0, 1.0
-    alpha = 1.0 - confidence
+    alpha = 1.0 - CONFIDENCE
     lo = 0.0 if hits == 0 else float(_beta.ppf(alpha / 2, hits, trials - hits + 1))
     hi = 1.0 if hits == trials else float(_beta.ppf(1 - alpha / 2, hits + 1, trials - hits))
     return lo, hi
 
 
-def confidence_radius(hits: int, trials: int, confidence: float = 0.99) -> float:
+def confidence_radius(hits: int, trials: int) -> float:
     """Worst-side distance from the point estimate to the exact binomial interval."""
     if trials == 0:
         return 1.0
     p = hits / trials
-    lo, hi = clopper_pearson(hits, trials, confidence)
+    lo, hi = clopper_pearson(hits, trials)
     return max(p - lo, hi - p)
 
 
-def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion at z = WILSON_Z."""
     if trials == 0:
         return 0.0, 1.0
+    z = WILSON_Z
     p = hits / trials
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from spanembed import cli, robustness
 from spanembed.cli import build_parser, main
-from spanembed.errors import InternalInvariantError
-from spanembed.graphs import Graph, complete_graph, cycle_graph, format_graph
-from spanembed.spread import FBInstance, FBParams, format_fb_instance
+from spanembed.errors import InternalInvariantError, InvalidArgumentError
+from spanembed.graphs import Graph, complete_graph, cycle_graph, format_graph, parse_graph
+from spanembed.partition import parse_partition
+from spanembed.spread import FBInstance, FBParams, format_fb_instance, parse_fb_instance
 
 
 @pytest.fixture()
@@ -65,6 +66,51 @@ def test_m1_bad_file_is_exit_2(files, capsys):
     phi = write("phi.txt", "0 0\n0 2\n")
     assert main(["embed-switch", k3, k3, "--phi", phi]) == 2
     assert "line 2: vertex 0 repeats line 1" in capsys.readouterr().err
+
+
+# reader -> the header line its format starts with ("" for none)
+READERS = {"graph": "n 4\n", "fb-instance": "bipartite 2\n", "partition": "", "phi": ""}
+# case -> (body, the body line an error names, whether the header precedes the
+# body, the readers for which the text is well formed)
+MALFORMED = {
+    "three tokens": ("0 2\n\n1 2 3\n", 3, True, {"partition"}),
+    "non-integer": ("0 2  # fine\n1 x\n", 2, True, set()),
+    "missing header": ("0 2\n", 1, False, {"partition", "phi"}),
+    "comments only": ("# nothing\n\n# here\n", 4, False, {"partition", "phi"}),
+}
+
+
+def _reader_error(reader, text, files, capsys):
+    """The invalid-input message of ``reader`` on ``text``, or None if it reads it."""
+    write, _ = files
+    try:
+        if reader == "graph":
+            parse_graph(text)
+        elif reader == "fb-instance":
+            parse_fb_instance(text, FBParams(d=0.8, b=1, rho=0.1, mu=0.25, delta=2))
+        elif reader == "partition":
+            parse_partition(text)
+        else:
+            k3 = write("k3.txt", format_graph(complete_graph(3)))
+            code = main(["embed-switch", k3, k3, "--phi", write("phi.txt", text)])
+            err = capsys.readouterr().err
+            assert code in (0, 2)
+            return err if code == 2 else None
+    except InvalidArgumentError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_text_readers_name_the_malformed_line(reader, case, files, capsys):
+    body, line, headed, well_formed = MALFORMED[case]
+    header = READERS[reader] if headed else ""
+    error = _reader_error(reader, header + body, files, capsys)
+    if reader in well_formed:
+        assert error is None
+    else:
+        assert error is not None and f"line {line + bool(header)}:" in error
 
 
 def test_embed_switch_subcommand(files, capsys):

@@ -3,13 +3,17 @@ import pytest
 from spanembed.errors import InvalidArgumentError
 from spanembed.graphs import (
     Graph,
+    clique_component_size,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     format_graph,
+    int_pairs,
     parse_graph,
     path_graph,
+    records,
 )
 
 
@@ -32,6 +36,31 @@ def test_components_and_bfs():
     assert g.connected_components() == [[0, 1, 2], [3, 4]]
     d = g.bfs_distances(0)
     assert d[1] == d[2] == 1 and d[3] == -1
+
+
+def test_components_are_cached_behind_fresh_lists():
+    g = disjoint_union(path_graph(2), cycle_graph(3))
+    comps = g.connected_components()
+    comps[0].append(9)
+    comps.pop()
+    assert g.connected_components() == [[0, 1], [2, 3, 4]]
+    cached = g._components             # searched once, on the first call
+    g.connected_components()
+    assert g._components is cached
+
+
+@pytest.mark.parametrize("g, size", [
+    (disjoint_union(complete_graph(3), complete_graph(3)), 3),
+    (disjoint_union(complete_graph(2), complete_graph(2)), 2),
+    (empty_graph(4), 1),
+    (complete_graph(5), 5),
+    (disjoint_union(complete_graph(3), complete_graph(2)), None),   # unequal sizes
+    (cycle_graph(4), None),                                         # not a clique
+    (disjoint_union(complete_graph(4), cycle_graph(4)), None),      # one is not
+    (empty_graph(0), None),
+])
+def test_clique_component_size(g, size):
+    assert clique_component_size(g) == size
 
 
 def test_complement_of_cycle():
@@ -62,6 +91,16 @@ def test_parse_errors():
         parse_graph("0 1\n")
     with pytest.raises(InvalidArgumentError):
         parse_graph("n 3\n0 1 2\n")
+
+
+def test_records_and_integer_pairs():
+    text = "# head\n\nn 3   # count\n  0 1\n#\n1\t2 #\n"
+    assert list(records(text)) == [(3, "n 3"), (4, "0 1"), (6, "1\t2")]
+    assert int_pairs(text, "n") == (3, [(4, 0, 1), (6, 1, 2)])
+    assert int_pairs("0 1\n", None) == (0, [(1, 0, 1)])
+    assert int_pairs("# only a comment\n", None) == (0, [])
+    with pytest.raises(InvalidArgumentError, match="line 3: expected header 'n <count>'"):
+        int_pairs("# only\n# comments\n", "n")
 
 
 def test_adjacency_matrix_matches_edges():

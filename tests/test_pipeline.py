@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 from scipy.stats import chi2
 
@@ -26,6 +27,8 @@ from spanembed.pipeline import (
 )
 from spanembed.regularity import RegPairParams, check_super_regular_pair, INCONCLUSIVE
 from spanembed.robustness import clique_factor_pattern, perfect_matching_pattern
+from spanembed.seeds import child_seed, fresh_seed, py_rng
+from spanembed.spread import check_fb_conditions
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -78,12 +81,11 @@ def test_generate_host_validates_arguments():
         generate_regular_host(K2, complete_graph(3), m=30, d=0.5, seed=0)
 
 
-def test_partitioned_host_rejects_unequal_clusters():
+def test_partitioned_host_rejects_a_vertex_count_off_the_blocks():
     params = HostParams(eps=0.5, d=0.5)
-    with pytest.raises(InvalidArgumentError, match="not all equal"):
-        PartitionedHost(Graph(21, []), [range(10), range(10, 21)], K2, K2, params)
-    with pytest.raises(InvalidArgumentError, match="not all equal"):
-        PartitionedHost(Graph(10, []), [range(10), []], K2, K2, params)
+    for g, r_graph in ((Graph(21, []), K2), (Graph(0, []), K2), (Graph(4, []), Graph(0, []))):
+        with pytest.raises(InvalidArgumentError, match="not a positive multiple"):
+            PartitionedHost(g, r_graph, r_graph, params)
 
 
 def test_partition_pattern_triangle_structure():
@@ -137,8 +139,7 @@ def test_rga_matching_pattern_success_and_floor():
 def test_rga_fails_fast_on_empty_needed_pair():
     # manual host with an R-edge whose pair has no host edges at all
     g = Graph(20, [])
-    host = PartitionedHost(g, [range(10), range(10, 20)], K2, K2,
-                           HostParams(eps=0.5, d=0.5))
+    host = PartitionedHost(g, K2, K2, HostParams(eps=0.5, d=0.5))
     h = perfect_matching_pattern(20)
     parts = [tuple(range(0, 20, 2)), tuple(range(1, 20, 2))]
     buffers = [parts[0][:3], parts[1][:3]]
@@ -200,6 +201,20 @@ def test_validation_rejects_corrupted_embeddings(case):
     assert str(exc.value) == message
 
 
+def test_host_clusters_are_vertex_blocks():
+    host, _ = triangle_setup()
+    m, adj = host.m, host.adj_bool()
+    assert m == 25 and len(host.clusters) == host.r == 3
+    for i, cl in enumerate(host.clusters):
+        assert cl == tuple(range(i * m, (i + 1) * m))
+    assert list(host.cluster_of) == [v // m for v in range(host.g.n)]
+    assert host.cluster_bool().tolist() == [[v // m == i for v in range(host.g.n)]
+                                            for i in range(host.r)]
+    for i, cols in enumerate(host.cluster_adj()):
+        assert (cols == adj[:, i * m:(i + 1) * m]).all()
+        assert np.shares_memory(cols, adj) and not cols.flags.writeable
+
+
 def test_host_and_pattern_arrays_are_read_only():
     host, pattern = triangle_setup()
     columns = host.cluster_adj()
@@ -212,6 +227,28 @@ def test_host_and_pattern_arrays_are_read_only():
     for a in (*columns, pattern.edge_array, host.cluster_index, pattern.part_index):
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+def test_pipeline_built_instances_meet_fb_conditions():
+    # the k3 m=60 set-up of acceptance criterion 6 at d = 0.4, so that the
+    # R'-pairs, and with them the F_i, are not complete; trial i draws its
+    # stage seeds as run_pipeline_once does from child_seed(2025, i)
+    host = generate_regular_host(K3, K3, m=60, d=0.4, seed=101)
+    pattern = partition_pattern(clique_factor_pattern(180, 3), host, None,
+                                alpha=0.25, seed=55)
+    cfg = RGAConfig(mu=0.25)
+    instances = []
+    for i in range(40):
+        master = py_rng(child_seed(2025, i))
+        rga = rga_embed(host, pattern, cfg, fresh_seed(master))
+        assert rga.ok
+        done = complete_with_buffers(host, pattern, rga, cfg, 8, fresh_seed(master))
+        assert done.ok
+        instances += done.instances
+    assert len(instances) == 120
+    assert any(len(f.edges) < f.lam ** 2 for f in instances)
+    for f in instances:
+        assert check_fb_conditions(f, seed=1).all_ok
 
 
 def test_completion_instances_follow_their_definition():
@@ -339,7 +376,7 @@ def test_vertex_spread_requires_trials_and_successes():
         estimate_vertex_spread(host, pattern, cfg, 5, [(0, 0)], trials=100, seed=0)
     # hostile: empty host graph forces rga starvation every time
     g = Graph(host.g.n, [])
-    dead_host = PartitionedHost(g, host.clusters, host.r_graph, host.rprime, host.params)
+    dead_host = PartitionedHost(g, host.r_graph, host.rprime, host.params)
     with pytest.raises(EstimateUnreliableError):
         estimate_vertex_spread(dead_host, pattern, cfg, 5, [(0, 0)],
                                trials=1000, seed=0)

@@ -18,7 +18,6 @@ from .partition import (
 )
 from .switching import (
     PartialEmbedding,
-    SwitchTrace,
     switching_embed,
     delta_e_upper_bound,
 )

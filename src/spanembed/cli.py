@@ -4,11 +4,12 @@ Each subcommand takes only the flags its body reads:
 
 - m1 --graph; equitable --graph k; clique-factor --graph r
 - embed-switch host pattern [--phi] [--seed] [--out]
-- spread-matching --instance [--c --d --b --delta --event] [--seed]
-  [--trials] [--out]; --delta bounds --b, and FB's rho and mu, which no
-  part of the command reads, are fixed at 0.1 and 0.25
-- pipeline --config [--seed] [--out]; trials come from the config
-- scan --config [--seed] [--trials] [--out]; config keys override flags
+- spread-matching --instance [--c --d --b --event] [--seed] [--trials]
+  [--out]; FB's rho, mu and delta, which no part of the command reads,
+  are fixed at 0.1, 0.25 and b
+- pipeline --config [--out] and scan --config [--out]; seed and trials
+  come from the config only (seed 0, 200 pipeline or 1000 scan trials
+  by default)
 - scan-thm91 [--n] [--gamma] [--seed] [--trials] [--out]; delta is 2
 
 Exit codes: 0 success, 2 invalid input, 3 infeasible parameters, 4
@@ -74,7 +75,7 @@ EXIT_INFEASIBLE = 3
 EXIT_TIMEOUT_SCAN = 4
 
 
-PIPELINE_KEYS = ("delta", "d", "m", "r", "mu", "zeta", "theta", "C", "trials", "seed")
+PIPELINE_KEYS = ("delta", "d", "m", "r", "mu", "theta", "C", "trials", "seed")
 SCAN_KEYS = ("n", "seed", "host", "pattern", "pgrid", "trials", "budget")
 
 
@@ -149,6 +150,9 @@ def cmd_embed_switch(args) -> int:
         for lineno, x, v in pairs:
             if x in line_of:
                 raise InvalidArgumentError(f"line {lineno}: vertex {x} repeats line {line_of[x]}")
+            if not (0 <= x < h.n and 0 <= v < g.n):
+                raise InvalidArgumentError(
+                    f"line {lineno}: need x in [0,{h.n}) and v in [0,{g.n}), got {x} {v}")
             line_of[x] = lineno
             mapping[x] = v
     phi_s = PartialEmbedding.of(h, g, mapping)
@@ -158,7 +162,7 @@ def cmd_embed_switch(args) -> int:
         return EXIT_INFEASIBLE
     for x, v in enumerate(outcome.mapping):
         print(f"{x} {v}")
-    rows = [[s.time, s.x, s.y, s.repaired[0], s.repaired[1]] for s in outcome.trace.steps]
+    rows = [[s.time, s.x, s.y, s.repaired[0], s.repaired[1]] for s in outcome.steps]
     _emit_csv(args.out, ["time", "x", "y", "edge_u", "edge_v"], rows)
     return EXIT_OK
 
@@ -181,7 +185,7 @@ def cmd_clique_factor(args) -> int:
 def cmd_spread_matching(args) -> int:
     if args.trials < 1:
         raise InvalidArgumentError(f"--trials = {args.trials} must be >= 1")
-    params = FBParams(d=args.d, b=args.b, rho=0.1, mu=0.25, delta=args.delta)
+    params = FBParams(d=args.d, b=args.b, rho=0.1, mu=0.25, delta=args.b)
     with open(args.instance, "r", encoding="utf-8") as fh:
         inst = parse_fb_instance(fh.read(), params)
     c = args.c if args.c else default_coupling_constant(inst)
@@ -224,18 +228,20 @@ def cmd_pipeline(args) -> int:
     m = config_value(conf, "m", int, 40)
     r = config_value(conf, "r", int, delta + 1)
     mu = config_value(conf, "mu", float, 0.25)
-    zeta = config_value(conf, "zeta", float, 1.0)
     theta = config_value(conf, "theta", float)
     c = config_value(conf, "C", int, 8)
     trials = config_value(conf, "trials", int, 200)
-    seed = config_value(conf, "seed", int, args.seed)
-    for key, value, low in (("delta", delta, 0), ("r", r, 1), ("C", c, 1),
-                            ("trials", trials, 1)):
-        if value < low:
-            raise InvalidArgumentError(f"line {conf[key][0]}: {key} = {value} must be >= {low}")
+    seed = config_value(conf, "seed", int, 0)
+    for key, ok, need in (("delta", delta >= 0, ">= 0"), ("r", r >= 1, ">= 1"),
+                          ("C", c >= 1, ">= 1"), ("trials", trials >= 1, ">= 1"),
+                          ("m", m >= 20, ">= 20"), ("d", 0 < d <= 0.5, "in (0, 0.5]"),
+                          ("mu", 0 < mu < 1, "in (0, 1)")):
+        if not ok:
+            lineno, raw = conf[key]
+            raise InvalidArgumentError(f"line {lineno}: {key} = {raw} must be {need}")
     if r % (delta + 1):
         raise InvalidArgumentError(f"r = {r} must be a multiple of delta+1 = {delta + 1}")
-    cfg = RGAConfig(mu=mu, zeta=zeta, theta=theta)
+    cfg = RGAConfig(mu=mu, theta=theta)
     blocks = r // (delta + 1)
     rgraph = disjoint_union(*[complete_graph(delta + 1) for _ in range(blocks)])
     host = generate_regular_host(rgraph, rgraph, m, d, seed)
@@ -285,7 +291,7 @@ _PATTERNS = {
 def cmd_scan(args) -> int:
     conf = parse_config(args.config, SCAN_KEYS)
     n = config_value(conf, "n", int, 20)
-    seed = config_value(conf, "seed", int, args.seed)
+    seed = config_value(conf, "seed", int, 0)
     host_name = config_value(conf, "host", str, "complete")
     if host_name in _HOSTS:
         host = _HOSTS[host_name](n, seed)
@@ -301,7 +307,7 @@ def cmd_scan(args) -> int:
     if grid is None:
         raise InvalidArgumentError("scan config needs a pgrid line")
     scan = ThresholdScan(host, pattern, grid,
-                         trials=config_value(conf, "trials", int, args.trials),
+                         trials=config_value(conf, "trials", int, 1000),
                          seed=seed, budget=config_value(conf, "budget", int, DEFAULT_BUDGET))
     rows = threshold_scan(scan)
     _emit_csv(args.out, SCAN_COLUMNS, [r.as_csv_row() for r in rows])
@@ -363,19 +369,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, default=0, help="coupling constant; 0 = default policy")
     p.add_argument("--d", type=float, default=0.8)
     p.add_argument("--b", type=int, default=1)
-    p.add_argument("--delta", type=int, default=2)
     p.add_argument("--event", action="append", default=None,
                    help="hall-fail or contains:a-b[,a-b...]; repeatable")
     p.set_defaults(func=cmd_spread_matching)
 
     p = sub.add_parser("pipeline", help="toy-scale end-to-end embedding pipeline")
-    common(p, trials=False)
     p.add_argument("--config", required=True)
+    p.add_argument("--out", type=str, default=None, help="CSV output path")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("scan", help="threshold scan over a p-grid")
-    common(p)
     p.add_argument("--config", required=True)
+    p.add_argument("--out", type=str, default=None, help="CSV output path")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("scan-thm91", help="two-grid mixture scan with tail check")

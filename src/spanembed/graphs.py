@@ -210,10 +210,6 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n, [])
-
-
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InvalidArgumentError("cycles need at least 3 vertices")
@@ -224,22 +220,20 @@ def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
-
-
-def complete_multipartite_graph(sizes: Sequence[int]) -> Graph:
-    n = sum(sizes)
-    offs = []
+def blow_up(r_graph: Graph, sizes: Sequence[int]) -> Graph:
+    """Replace node i by an independent set of sizes[i], edges by complete pairs."""
+    offsets = []
     o = 0
     for s in sizes:
-        offs.append((o, o + s))
+        offsets.append(o)
         o += s
-    es = []
-    for i, (lo1, hi1) in enumerate(offs):
-        for lo2, hi2 in offs[i + 1:]:
-            es.extend((u, v) for u in range(lo1, hi1) for v in range(lo2, hi2))
-    return Graph(n, es)
+    edges = []
+    for i, j in r_graph.edges:
+        edges.extend(
+            (offsets[i] + a, offsets[j] + b)
+            for a in range(sizes[i]) for b in range(sizes[j])
+        )
+    return Graph(o, edges)
 
 
 def disjoint_union(*parts: Graph) -> Graph:
@@ -274,8 +268,9 @@ def records(text: str) -> Iterator[tuple[int, str]]:
 def int_pairs(text: str, header: str | None = None) -> tuple[int, list[tuple[int, int, int]]]:
     """The ``a b`` integer lines of ``text`` as (line number, a, b).
 
-    With ``header``, the first line must read ``<header> <count>`` and
-    the count comes first in the result; without one it is 0.
+    With ``header``, the first line must read ``<header> <count>`` with a
+    count of at least 0, and the count comes first in the result; without
+    one it is 0.
     """
     count = None if header else 0
     pairs = []
@@ -286,6 +281,8 @@ def int_pairs(text: str, header: str | None = None) -> tuple[int, list[tuple[int
                 raise InvalidArgumentError(
                     f"line {lineno}: expected header '{header} <count>', got {line!r}")
             count = parse_int(tokens[1], lineno)
+            if count < 0:
+                raise InvalidArgumentError(f"line {lineno}: {header} {count} is negative")
         elif len(tokens) != 2:
             raise InvalidArgumentError(f"line {lineno}: expected 'a b', got {line!r}")
         else:
@@ -298,6 +295,10 @@ def int_pairs(text: str, header: str | None = None) -> tuple[int, list[tuple[int
 
 def parse_graph(text: str) -> Graph:
     n, pairs = int_pairs(text, "n")
+    for lineno, u, v in pairs:
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise InvalidArgumentError(f"line {lineno}: edge ({u},{v}) is a loop or leaves "
+                                       f"[0,{n})")
     return Graph(n, [(u, v) for _, u, v in pairs])
 
 

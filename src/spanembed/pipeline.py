@@ -35,7 +35,7 @@ from .errors import (
     GenerationFailedError,
     PartitionFailedError,
 )
-from .graphs import Graph, bits, clique_component_size
+from .graphs import Graph, bits, blow_up, clique_component_size
 from .partition import closed_second_neighborhood, distance_power_graph, equitable_coloring
 from .regularity import RegPairParams, check_regular_pair, check_super_regular_pair
 from .seeds import block_integers, check_seed, count_trials, fresh_seed, np_rng, py_rng
@@ -125,8 +125,6 @@ def generate_regular_host(r_graph: Graph, rprime: Graph, m: int, d: float,
     and the randomized regularity refuter on all R-pairs.  Failed
     attempts resample with a fresh child seed, up to HOST_ATTEMPTS times.
     """
-    if rprime.n != r_graph.n or not rprime.edges <= r_graph.edges:
-        raise InvalidArgumentError("R' must be a spanning subgraph of R")
     if m < 20:
         raise InvalidArgumentError(f"cluster size must be at least 20, got {m}")
     if not 0 < d <= 0.5:
@@ -360,15 +358,13 @@ def partition_pattern(h: Graph, host: PartitionedHost,
     # Step III: extend to all of H on the blow-up of R, whose slots are host vertices
     rstar = blow_up(host.r_graph, [host.m] * host.r)
     phi_s = PartialEmbedding.of(h, rstar, placed)
-    outcome = None
     for _ in range(SWITCH_ATTEMPTS):
         outcome = switching_embed(rstar, h, phi_s, fresh_seed(master))
         if outcome.ok:
             break
-    if outcome is None or not outcome.ok:
+    else:
         raise PartitionFailedError(
-            "switching embedder could not complete the pattern partition",
-            trace=None if outcome is None else outcome.trace)
+            "switching embedder could not complete the pattern partition", trace=outcome.steps)
 
     parts: list[list[int]] = [[] for _ in range(host.r)]
     for x in range(h.n):
@@ -378,42 +374,23 @@ def partition_pattern(h: Graph, host: PartitionedHost,
     return pattern
 
 
-def blow_up(r_graph: Graph, sizes: Sequence[int]) -> Graph:
-    """Replace node i by an independent set of sizes[i], edges by complete pairs."""
-    offsets = []
-    o = 0
-    for s in sizes:
-        offsets.append(o)
-        o += s
-    edges = []
-    for i, j in r_graph.edges:
-        edges.extend(
-            (offsets[i] + a, offsets[j] + b)
-            for a in range(sizes[i]) for b in range(sizes[j])
-        )
-    return Graph(o, edges)
-
-
 # -- random greedy stage -----------------------------------------------
 
 
 @dataclass(frozen=True)
 class RGAConfig:
     mu: float = 0.25
-    zeta: float = 1.0
-    theta: float | None = None        # candidate floor fraction; default mu*zeta/10
+    theta: float | None = None        # candidate floor fraction; default mu/10
 
     def __post_init__(self):
         if not 0 < self.mu < 1:
             raise InvalidArgumentError(f"mu must lie in (0,1), got {self.mu}")
-        if not 0 < self.zeta <= 1:
-            raise InvalidArgumentError(f"zeta must lie in (0,1], got {self.zeta}")
         if self.theta is not None and not 0 <= self.theta <= 1:
             raise InvalidArgumentError(f"theta must lie in [0,1] or be unset, got {self.theta}")
 
     @property
     def floor_fraction(self) -> float:
-        return self.theta if self.theta is not None else self.mu * self.zeta / 10.0
+        return self.theta if self.theta is not None else self.mu / 10.0
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,9 @@ from .errors import InternalInvariantError, InvalidArgumentError
 from .graphs import (
     Graph,
     bits,
+    blow_up,
     clique_component_size,
     complete_graph,
-    complete_multipartite_graph,
     cycle_graph,
     disjoint_union,
     mask_of,
@@ -441,7 +441,7 @@ def unbalanced_multipartite_host(n: int, delta: int) -> Graph:
     sizes[-1] -= 1
     if sizes[-1] < 1:
         raise InvalidArgumentError("unbalancing emptied a part")
-    return complete_multipartite_graph(sizes)
+    return blow_up(complete_graph(k), sizes)
 
 
 def random_min_degree_host(n: int, min_degree: int, seed: int) -> Graph:

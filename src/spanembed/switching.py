@@ -68,19 +68,10 @@ class SwitchStep:
 
 
 @dataclass(frozen=True)
-class SwitchTrace:
-    steps: tuple[SwitchStep, ...] = ()
-
-    @property
-    def swap_count(self) -> int:
-        return len(self.steps)
-
-
-@dataclass(frozen=True)
 class SwitchOutcome:
     ok: bool
     mapping: tuple[int, ...]          # mapping[x] = image of H-vertex x
-    trace: SwitchTrace
+    steps: tuple[SwitchStep, ...]     # accepted swaps in order
     note: str = ""
 
 
@@ -155,13 +146,13 @@ def switching_embed(g: Graph, h: Graph, phi_s: PartialEmbedding, seed: int) -> S
             if accepted:
                 break
         if not accepted:
-            return SwitchOutcome(False, tuple(phi), SwitchTrace(tuple(steps)),
+            return SwitchOutcome(False, tuple(phi), tuple(steps),
                                  note="stuck: unmapped edge with no admissible swap")
 
     for x, v in fixed.items():
         if phi[x] != v:
             raise InternalInvariantError("partial embedding was not preserved")
-    return SwitchOutcome(True, tuple(phi), SwitchTrace(tuple(steps)))
+    return SwitchOutcome(True, tuple(phi), tuple(steps))
 
 
 def _unmapped_oriented(g, h, phi, in_s, edges):

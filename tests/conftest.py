@@ -37,22 +37,6 @@ def random_bounded_degree_graph(n: int, max_deg: int, seed: int, p: float = 0.5)
     return Graph(n, edges)
 
 
-def random_min_degree_graph(n: int, min_deg: int, seed: int) -> Graph:
-    """Near-extremal graph with minimum degree exactly around min_deg."""
-    rng = random.Random(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    rng.shuffle(pairs)
-    deg = [n - 1] * n
-    kept = []
-    for u, v in pairs:
-        if deg[u] > min_deg and deg[v] > min_deg:
-            deg[u] -= 1
-            deg[v] -= 1
-        else:
-            kept.append((u, v))
-    return Graph(n, kept)
-
-
 def random_bipartite_adj(na: int, nb: int, p: float, seed: int) -> list[list[int]]:
     rng = random.Random(seed)
     return [[b for b in range(nb) if rng.random() < p] for _ in range(na)]

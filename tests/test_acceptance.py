@@ -19,7 +19,6 @@ from conftest import (
     backtracking_extender,
     random_bipartite_adj,
     random_bounded_degree_graph,
-    random_min_degree_graph,
 )
 from spanembed.density import max_one_density
 from spanembed.graphs import complete_graph, is_valid_embedding
@@ -36,6 +35,7 @@ from spanembed.robustness import (
     clique_factor_pattern,
     dirac_overlap_host,
     perfect_matching_pattern,
+    random_min_degree_host,
     threshold_scan,
 )
 from spanembed.spread import (
@@ -122,7 +122,7 @@ def test_criterion_3_switching_embedder_suite():
         need = math.ceil(((2 * delta - 1) / (2 * delta) + 0.05) * n)
         if need > n - 1:
             need = n - 1
-        g = random_min_degree_graph(n, need, seed=rng.randrange(1 << 30))
+        g = random_min_degree_host(n, need, seed=rng.randrange(1 << 30))
         s_size = int(0.05 * delta * n)
         fixed = {}
         if s_size:
@@ -156,14 +156,14 @@ def test_criterion_3_switching_embedder_suite():
 def _trace_strictly_increases(g, h, fixed, out):
     # rebuild the seeded initial bijection, then replay the recorded swaps
     phi = list(out.mapping)
-    for step in reversed(out.trace.steps):
+    for step in reversed(out.steps):
         phi[step.x], phi[step.y] = phi[step.y], phi[step.x]
 
     def mapped():
         return sum(1 for u, v in h.edges if g.has_edge(phi[u], phi[v]))
 
     last = mapped()
-    for step in out.trace.steps:
+    for step in out.steps:
         phi[step.x], phi[step.y] = phi[step.y], phi[step.x]
         now = mapped()
         if now <= last:
@@ -190,7 +190,7 @@ def test_criterion_4_equitable_and_clique_factor():
         r = rng.choice((3, 4, 5))
         n = rng.randint(3 * r, 45)
         need = -(-(r - 1) * n // r)
-        g = random_min_degree_graph(n, need, seed=rng.randrange(1 << 30))
+        g = random_min_degree_host(n, need, seed=rng.randrange(1 << 30))
         try:
             f = clique_factor(g, r)
             f.validate(g)

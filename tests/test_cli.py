@@ -48,9 +48,11 @@ def test_m1_bad_file_is_exit_2(files, capsys):
     write, _ = files
     g = write("bad.txt", "not a graph\n")
     assert main(["m1", "--graph", g]) == 2
-    for name, text in [("n.txt", "n x\n"), ("edge.txt", "n 3\n0 a\n")]:
+    for name, text, line in [("n.txt", "n x\n", 1), ("edge.txt", "n 3\n0 a\n", 2),
+                             ("count.txt", "n -2\n", 1), ("range.txt", "n 2\n0 5\n", 2),
+                             ("loop.txt", "n 3\n0 1\n1 1\n", 3)]:
         assert main(["m1", "--graph", write(name, text)]) == 2
-        assert "line" in capsys.readouterr().err
+        assert f"line {line}:" in capsys.readouterr().err
     # a directory or a file that is not text is not a graph either
     _, tmp = files
     (tmp / "bin.txt").write_bytes(b"n 3\n\xff\xfe\n")
@@ -62,6 +64,10 @@ def test_m1_bad_file_is_exit_2(files, capsys):
         phi = write("phi.txt", text)
         assert main(["embed-switch", k3, k3, "--phi", phi]) == 2
         assert "line 1" in capsys.readouterr().err
+    # so are pairs outside V(H) x V(G)
+    for text, line in (("0 1\n3 0\n", 2), ("0 3\n", 1), ("-1 0\n", 1), ("0 0\n1 -2\n", 2)):
+        assert main(["embed-switch", k3, k3, "--phi", write("phi.txt", text)]) == 2
+        assert f"line {line}:" in capsys.readouterr().err
     # a pattern vertex mapped twice is refused, not resolved by its last line
     phi = write("phi.txt", "0 0\n0 2\n")
     assert main(["embed-switch", k3, k3, "--phi", phi]) == 2
@@ -245,6 +251,7 @@ def test_bad_config_is_exit_2(files, capsys):
         ("scan", scan.replace("0.2,1.0", "0.5,x"), "line 4"),
         ("scan", scan.replace("n 16", "n sixteen"), "line 2"),
         ("pipeline", pipe + "gamma 0.1\n", "line 9"),  # documented once, never read
+        ("pipeline", pipe + "zeta 1.0\n", "unknown key"),
         ("pipeline", pipe.replace("m 20", "m 2o"), "line 3"),
         ("pipeline", pipe.replace("r 3", "r 0"), "line 4"),
         ("pipeline", pipe.replace("r 3", "r -3"), "line 4"),
@@ -252,6 +259,11 @@ def test_bad_config_is_exit_2(files, capsys):
         ("pipeline", pipe.replace("C 5", "C 0"), "line 6"),
         ("pipeline", pipe.replace("C 5", "C -3"), "line 6"),
         ("pipeline", pipe.replace("trials 25", "trials -3"), "line 7"),
+        ("pipeline", pipe.replace("m 20", "m 19"), "line 3"),
+        ("pipeline", pipe.replace("d 0.5", "d 0.6"), "line 2"),
+        ("pipeline", pipe.replace("d 0.5", "d 0"), "line 2"),
+        ("pipeline", pipe.replace("mu 0.25", "mu 1"), "line 5"),
+        ("pipeline", pipe.replace("mu 0.25", "mu nan"), "line 5"),
         ("scan", scan + "trials -3\n", "trials must be >= 1"),
         ("scan", scan + "budget -4\n", "budget must be >= 1"),
         ("scan", scan + "budget 0\n", "budget must be >= 1"),
@@ -270,6 +282,10 @@ REMOVED_FLAGS = [(argv, flag) for argv in (["m1", "--graph", "g.txt"],
                  for flag in ("--seed", "--trials", "--out")] + [
     (["embed-switch", "h.txt", "p.txt"], "--trials"),
     (["pipeline", "--config", "p.cfg"], "--trials"),
+    (["pipeline", "--config", "p.cfg"], "--seed"),
+    (["scan", "--config", "s.cfg"], "--seed"),
+    (["scan", "--config", "s.cfg"], "--trials"),
+    (["spread-matching", "--instance", "f.txt"], "--delta"),
     (["scan-thm91"], "--delta"),
     (["spread-matching", "--instance", "f.txt"], "--rho"),
     (["spread-matching", "--instance", "f.txt"], "--mu"),
@@ -370,7 +386,6 @@ def scan_config(draw):
         "pattern": st.sampled_from(["matching", "triangle-factor", "mixture", "@p", "x"]),
         "pgrid": st.lists(st.one_of(st.sampled_from(["0.2", "0.5", "1.0", "x"]), SMALL.map(str)),
                           min_size=1, max_size=4).map(",".join),
-        "trials": num(1, 5),
     }
     keys = draw(st.lists(st.sampled_from(sorted(values)), unique=True))
     if draw(st.integers(0, 9)):
@@ -378,7 +393,9 @@ def scan_config(draw):
     lines = [f"{key} {draw(values[key])}" for key in keys]
     if draw(st.integers(0, 9)) == 7:
         lines.append("trails 3")
-    lines.append(f"budget {draw(num(1, 30))}")   # always set: the default allows a long search
+    # always set: the defaults allow a long search and 1000 trials
+    lines.append(f"budget {draw(num(1, 30))}")
+    lines.append(f"trials {draw(num(1, 5))}")
     return "\n".join(draw(st.permutations(lines))) + "\n"
 
 
@@ -414,7 +431,7 @@ def cli_case(draw):
     elif kind == "scan":
         files["p"] = draw(GRAPHS)
         files["cfg"] = draw(scan_config())
-        argv = ["scan", "--config", "@cfg", "--trials", draw(num(1, 5))]
+        argv = ["scan", "--config", "@cfg"]
     else:
         # at most 3 trials: the mixture search runs on the default budget
         gamma = st.one_of(st.sampled_from(["0.2", "nan", "inf", "-0.5", "5"]), SMALL.map(str))

@@ -3,12 +3,11 @@ import pytest
 from spanembed.errors import InvalidArgumentError
 from spanembed.graphs import (
     Graph,
+    blow_up,
     clique_component_size,
-    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
-    empty_graph,
     format_graph,
     int_pairs,
     parse_graph,
@@ -52,12 +51,12 @@ def test_components_are_cached_behind_fresh_lists():
 @pytest.mark.parametrize("g, size", [
     (disjoint_union(complete_graph(3), complete_graph(3)), 3),
     (disjoint_union(complete_graph(2), complete_graph(2)), 2),
-    (empty_graph(4), 1),
+    (Graph(4, []), 1),
     (complete_graph(5), 5),
     (disjoint_union(complete_graph(3), complete_graph(2)), None),   # unequal sizes
     (cycle_graph(4), None),                                         # not a clique
     (disjoint_union(complete_graph(4), cycle_graph(4)), None),      # one is not
-    (empty_graph(0), None),
+    (Graph(0, []), None),
 ])
 def test_clique_component_size(g, size):
     assert clique_component_size(g) == size
@@ -71,7 +70,7 @@ def test_complement_of_cycle():
 
 
 def test_induced_relabels():
-    g = complete_bipartite_graph(2, 3)
+    g = blow_up(complete_graph(2), [2, 3])
     sub = g.induced([0, 2, 3])
     assert sub.n == 3 and sub.num_edges() == 2
 
@@ -91,6 +90,10 @@ def test_parse_errors():
         parse_graph("0 1\n")
     with pytest.raises(InvalidArgumentError):
         parse_graph("n 3\n0 1 2\n")
+    # range errors name the edge's line, before a Graph is built
+    for text, line in (("n 2\n0 5\n", 2), ("n 3\n# loop\n1 1\n", 3), ("n 3\n0 -1\n", 2)):
+        with pytest.raises(InvalidArgumentError, match=f"line {line}: edge"):
+            parse_graph(text)
 
 
 def test_records_and_integer_pairs():
@@ -101,6 +104,9 @@ def test_records_and_integer_pairs():
     assert int_pairs("# only a comment\n", None) == (0, [])
     with pytest.raises(InvalidArgumentError, match="line 3: expected header 'n <count>'"):
         int_pairs("# only\n# comments\n", "n")
+    for header in ("n", "bipartite"):
+        with pytest.raises(InvalidArgumentError, match=f"line 2: {header} -1 is negative"):
+            int_pairs(f"# head\n{header} -1\n", header)
 
 
 def test_adjacency_matrix_matches_edges():

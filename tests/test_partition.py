@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bounded_degree_graph, random_min_degree_graph
-from spanembed.errors import InfeasibleParametersError, InvalidArgumentError
+from conftest import random_bounded_degree_graph
+from spanembed import partition
+from spanembed.errors import InfeasibleParametersError, InternalInvariantError, InvalidArgumentError
 from spanembed.graphs import (
     Graph,
+    blow_up,
     complete_graph,
-    complete_multipartite_graph,
     cycle_graph,
     disjoint_union,
-    empty_graph,
     path_graph,
 )
 from spanembed.partition import (
@@ -23,6 +23,7 @@ from spanembed.partition import (
     format_partition,
     parse_partition,
 )
+from spanembed.robustness import random_min_degree_host
 
 
 def brute_force_equitable_exists(h, k):
@@ -42,7 +43,7 @@ def brute_force_equitable_exists(h, k):
 
 
 def test_equitable_examples():
-    ep = equitable_coloring(empty_graph(7), 3)
+    ep = equitable_coloring(Graph(7, []), 3)
     assert sorted(len(p) for p in ep.parts) == [2, 2, 3]
     ep = equitable_coloring(complete_graph(4), 4)
     assert sorted(len(p) for p in ep.parts) == [1, 1, 1, 1]
@@ -55,6 +56,33 @@ def test_equitable_examples():
 def test_equitable_rejects_small_k():
     with pytest.raises(InfeasibleParametersError):
         equitable_coloring(complete_graph(4), 3)
+
+
+def test_equitable_restarts_after_a_failed_rebalance(monkeypatch):
+    # the index-order greedy colouring of this graph cannot be rebalanced;
+    # the first shuffled restart can
+    results = []
+    rebalance = partition._rebalance
+
+    def recorded(h, classes):
+        results.append(rebalance(h, classes))
+        return results[-1]
+
+    monkeypatch.setattr(partition, "_rebalance", recorded)
+    g = random_bounded_degree_graph(8, 2, seed=803, p=1.0)
+    equitable_coloring(g, 3).validate(g)
+    assert results == [False, True]
+
+
+def test_equitable_exhaustive_fallback_up_to_twelve_vertices(monkeypatch):
+    monkeypatch.setattr(partition, "_rebalance", lambda h, classes: False)
+    for g, k in ((cycle_graph(9), 3), (Graph(12, []), 5), (complete_graph(4), 4),
+                 (random_bounded_degree_graph(12, 3, seed=7), 4)):
+        ep = equitable_coloring(g, k)
+        ep.validate(g)
+        assert ep.k == k
+    with pytest.raises(InternalInvariantError):
+        equitable_coloring(cycle_graph(13), 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -72,7 +100,7 @@ def test_clique_factor_examples():
     assert len(f.cliques) == 3 and f.leftover == ()
     f.validate(complete_graph(9))
 
-    k333 = complete_multipartite_graph([3, 3, 3])
+    k333 = blow_up(complete_graph(3), [3, 3, 3])
     f = clique_factor(k333, 3)
     assert len(f.cliques) == 3 and f.leftover == ()
     f.validate(k333)
@@ -92,7 +120,7 @@ def test_clique_factor_near_extremal_random():
         n = 12 + seed
         r = 3 + seed % 2
         need = -(-(r - 1) * n // r)
-        g = random_min_degree_graph(n, need, seed)
+        g = random_min_degree_host(n, need, seed)
         assert g.min_degree() >= need
         f = clique_factor(g, r)
         f.validate(g)

@@ -10,12 +10,11 @@ from spanembed.errors import (
     InternalInvariantError,
     InvalidArgumentError,
 )
-from spanembed.graphs import Graph, complete_graph, empty_graph
+from spanembed.graphs import Graph, blow_up, complete_graph
 from spanembed.pipeline import (
     HostParams,
     PartitionedHost,
     RGAConfig,
-    blow_up,
     complete_with_buffers,
     estimate_vertex_spread,
     generate_regular_host,
@@ -103,7 +102,7 @@ def test_partition_pattern_triangle_structure():
 
 def test_partition_pattern_edgeless_is_trivial():
     host = generate_regular_host(K2, K2, m=20, d=0.5, seed=8)
-    pattern = partition_pattern(empty_graph(40), host, None, alpha=0.3, seed=1)
+    pattern = partition_pattern(Graph(40, []), host, None, alpha=0.3, seed=1)
     pattern.validate(host)
 
 
@@ -121,7 +120,7 @@ def test_partition_pattern_honors_preplaced():
 
 def test_rga_edgeless_pattern_never_starves():
     host = generate_regular_host(K2, K2, m=20, d=0.5, seed=8)
-    pattern = partition_pattern(empty_graph(40), host, None, alpha=0.3, seed=1)
+    pattern = partition_pattern(Graph(40, []), host, None, alpha=0.3, seed=1)
     out = rga_embed(host, pattern, RGAConfig(mu=0.25), seed=13)
     assert out.ok
     floor = max(1, int(0.025 * 20))

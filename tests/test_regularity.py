@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_graph
 from spanembed.errors import InvalidArgumentError
-from spanembed.graphs import Graph, complete_bipartite_graph, cycle_graph
+from spanembed.graphs import Graph, blow_up, complete_graph, cycle_graph
 from spanembed.regularity import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -84,7 +84,7 @@ def assert_witness_refutes(g, aa, bb, eps, d, verdict):
 
 
 def test_density_examples():
-    kb = complete_bipartite_graph(3, 4)
+    kb = blow_up(complete_graph(2), [3, 4])
     assert density(kb, range(3), range(3, 7)) == 1.0
     empty_pair = Graph(5, [])
     assert density(empty_pair, [0, 1], [2, 3, 4]) == 0.0
@@ -97,7 +97,7 @@ def test_density_examples():
 
 
 def test_complete_pair_certified_any_eps():
-    kb = complete_bipartite_graph(5, 5)
+    kb = blow_up(complete_graph(2), [5, 5])
     for eps in (0.1, 0.5, 1.0):
         v = check_regular_pair(kb, range(5), range(5, 10), RegPairParams(eps, 1.0))
         assert v.kind == CERTIFIED
@@ -169,11 +169,11 @@ def test_witness_deviates_most_when_a_violation_sits_on_eps():
 def test_part_size_picks_exact_check_or_refuter():
     # parts of at most 14 are decided exactly; a larger part on either
     # side goes to the refuter, which can never certify
-    kb = complete_bipartite_graph(14, 14)
+    kb = blow_up(complete_graph(2), [14, 14])
     assert check_regular_pair(kb, range(14), range(14, 28),
                               RegPairParams(0.3, 0.5)).kind == CERTIFIED
     for na, nb in ((15, 5), (5, 15)):
-        kb = complete_bipartite_graph(na, nb)
+        kb = blow_up(complete_graph(2), [na, nb])
         v = check_regular_pair(kb, range(na), range(na, na + nb), RegPairParams(0.3, 0.5))
         assert v.kind == INCONCLUSIVE
 
@@ -184,14 +184,14 @@ def test_refute_mode_finds_witness_or_stays_quiet():
                            trials=400, seed=3)
     assert v.kind == REFUTED
     assert_witness_refutes(g, list(range(20)), list(range(20, 40)), 0.1, 0.05, v)
-    kb = complete_bipartite_graph(20, 20)
+    kb = blow_up(complete_graph(2), [20, 20])
     v = check_regular_pair(kb, range(20), range(20, 40), RegPairParams(0.2, 0.9),
                            trials=200, seed=3)
     assert v.kind == INCONCLUSIVE
 
 
 def test_super_regular_examples():
-    kb = complete_bipartite_graph(6, 6)
+    kb = blow_up(complete_graph(2), [6, 6])
     assert check_super_regular_pair(kb, range(6), range(6, 12),
                                     RegPairParams(0.3, 1.0)).kind == CERTIFIED
     # isolated vertex in A refutes with that vertex as witness when d - eps > 0

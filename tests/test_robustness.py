@@ -14,8 +14,8 @@ from spanembed.density import max_one_density
 from spanembed.errors import InvalidArgumentError
 from spanembed.graphs import (
     Graph,
+    blow_up,
     complete_graph,
-    complete_multipartite_graph,
     cycle_graph,
     disjoint_union,
     is_valid_embedding,
@@ -116,7 +116,7 @@ def test_matching_containment_with_isolated_pattern_vertices():
 
 
 def test_contains_clique_factor_special_case():
-    host = complete_multipartite_graph([4, 4, 4, 4])
+    host = blow_up(complete_graph(4), [4, 4, 4, 4])
     h = clique_factor_pattern(16, 4)
     v = contains_spanning(host, h)
     assert v.yes

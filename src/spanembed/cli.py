@@ -57,7 +57,7 @@ from .robustness import (
     threshold_scan,
     unbalanced_multipartite_host,
 )
-from .seeds import child_seed, count_trials
+from .seeds import check_seed, child_seed, count_trials
 from .spread import (
     FBParams,
     SpreadEstimate,
@@ -100,14 +100,24 @@ def parse_config(path: str, keys: tuple[str, ...]) -> dict[str, tuple[int, str]]
 
 
 def config_value(conf: dict[str, tuple[int, str]], key: str, convert, default=None):
-    """``convert`` applied to the value of ``key``, or ``default`` when it is absent."""
+    """``convert`` applied to the value of ``key``, or ``default`` when it is absent.
+
+    A value ``convert`` cannot parse, or refuses with InvalidArgumentError,
+    is invalid input at its line.
+    """
     if key not in conf:
         return default
     lineno, raw = conf[key]
     try:
         return convert(raw)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"line {lineno}: {exc}") from None
     except ValueError:
         raise InvalidArgumentError(f"line {lineno}: bad value {raw!r} for {key}") from None
+
+
+def _seed(text: str) -> int:
+    return check_seed(int(text))
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -228,10 +238,9 @@ def cmd_pipeline(args) -> int:
     m = config_value(conf, "m", int, 40)
     r = config_value(conf, "r", int, delta + 1)
     mu = config_value(conf, "mu", float, 0.25)
-    theta = config_value(conf, "theta", float)
     c = config_value(conf, "C", int, 8)
     trials = config_value(conf, "trials", int, 200)
-    seed = config_value(conf, "seed", int, 0)
+    seed = config_value(conf, "seed", _seed, 0)
     for key, ok, need in (("delta", delta >= 0, ">= 0"), ("r", r >= 1, ">= 1"),
                           ("C", c >= 1, ">= 1"), ("trials", trials >= 1, ">= 1"),
                           ("m", m >= 20, ">= 20"), ("d", 0 < d <= 0.5, "in (0, 0.5]"),
@@ -241,7 +250,7 @@ def cmd_pipeline(args) -> int:
             raise InvalidArgumentError(f"line {lineno}: {key} = {raw} must be {need}")
     if r % (delta + 1):
         raise InvalidArgumentError(f"r = {r} must be a multiple of delta+1 = {delta + 1}")
-    cfg = RGAConfig(mu=mu, theta=theta)
+    cfg = config_value(conf, "theta", lambda v: RGAConfig(mu, float(v)), RGAConfig(mu))
     blocks = r // (delta + 1)
     rgraph = disjoint_union(*[complete_graph(delta + 1) for _ in range(blocks)])
     host = generate_regular_host(rgraph, rgraph, m, d, seed)
@@ -291,7 +300,7 @@ _PATTERNS = {
 def cmd_scan(args) -> int:
     conf = parse_config(args.config, SCAN_KEYS)
     n = config_value(conf, "n", int, 20)
-    seed = config_value(conf, "seed", int, 0)
+    seed = config_value(conf, "seed", _seed, 0)
     host_name = config_value(conf, "host", str, "complete")
     if host_name in _HOSTS:
         host = _HOSTS[host_name](n, seed)

@@ -80,9 +80,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> list[int]:
-        return bits(self.adj[v])
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 

@@ -21,7 +21,7 @@ from .errors import (
     InternalInvariantError,
     InvalidArgumentError,
 )
-from .graphs import Graph, bits, mask_of, parse_int, records
+from .graphs import Graph, bits, mask_of
 
 MAX_RESTARTS = 60
 EXHAUSTIVE_N = 12
@@ -287,8 +287,3 @@ def closed_second_neighborhood(h: Graph, x: int) -> tuple[int, ...]:
 
 def format_partition(parts: Sequence[Sequence[int]]) -> str:
     return "\n".join(" ".join(str(v) for v in part) for part in parts) + "\n"
-
-
-def parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(parse_int(tok, lineno) for tok in line.split())
-                 for lineno, line in records(text))

@@ -15,7 +15,9 @@ m vertices [i m, (i+1) m), cross-pairs get independent edges
 (probability 2d on super-regular pairs, d on merely regular ones), and
 the construction is re-verified with the regularity checkers before
 use.  The blow-up R* of R on which the pattern is partitioned numbers
-its slots the same way, so a slot of R* is a host vertex.
+its slots the same way, so a slot of R* is a host vertex.  Synthetic
+hosts have no exceptional vertices, so no pattern vertex has its images
+restricted to a subset of its cluster.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -171,24 +173,21 @@ class PatternParams:
 
 
 class PartitionedPattern:
-    """Pattern H with parts X_i, potential buffers, and image restrictions.
+    """Pattern H with parts X_i and potential buffers.
 
     ``nbrs[x]`` lists the H-neighbours of x in ascending order;
     ``part_index`` is ``part_of`` as an array, and ``edge_array`` holds
     the edges of H in sorted order, one per row; both are read-only.
     """
 
-    __slots__ = ("h", "parts", "buffers", "restrictions", "params", "part_of",
-                 "part_index", "nbrs", "edge_array")
+    __slots__ = ("h", "parts", "buffers", "params", "part_of", "part_index", "nbrs",
+                 "edge_array")
 
     def __init__(self, h: Graph, parts: Sequence[Sequence[int]],
-                 buffers: Sequence[Sequence[int]],
-                 restrictions: Mapping[int, Sequence[int]],
-                 params: PatternParams):
+                 buffers: Sequence[Sequence[int]], params: PatternParams):
         self.h = h
         self.parts = tuple(tuple(sorted(p)) for p in parts)
         self.buffers = tuple(tuple(sorted(b)) for b in buffers)
-        self.restrictions = {x: tuple(sorted(vs)) for x, vs in restrictions.items()}
         self.params = params
         part_of = [-1] * h.n
         for i, part in enumerate(self.parts):
@@ -198,17 +197,6 @@ class PartitionedPattern:
         self.part_index = _frozen(np.array(part_of, dtype=np.intp))
         self.nbrs = tuple(bits(mask) for mask in h.adj)
         self.edge_array = _frozen(np.array(h.sorted_edges(), dtype=np.intp).reshape(-1, 2))
-
-    def restrictions_valid(self, host: "PartitionedHost", rho: float, zeta: float) -> bool:
-        """(rho, zeta)-validity: per part at most rho |X_i| restricted
-        vertices, each allowed at least zeta |V_i| images."""
-        counts = [0] * len(self.parts)
-        for x, allowed in self.restrictions.items():
-            i = self.part_of[x]
-            counts[i] += 1
-            if len(allowed) < zeta * host.m:
-                return False
-        return all(c <= rho * len(p) for c, p in zip(counts, self.parts))
 
     def validate(self, host: PartitionedHost) -> None:
         h, r_graph, rprime = self.h, host.r_graph, host.rprime
@@ -244,17 +232,12 @@ class PartitionedPattern:
                         if not rprime.has_edge(j, k):
                             raise InternalInvariantError(
                                 f"buffer vertex {x}: second neighbourhood leaves R'")
-        for x, allowed in self.restrictions.items():
-            i = self.part_of[x]
-            if not set(allowed) <= set(host.clusters[i]):
-                raise InternalInvariantError(f"restriction of {x} leaves cluster {i}")
 
     def __repr__(self):
         return f"PartitionedPattern(n={self.h.n}, r={len(self.parts)})"
 
 
-def partition_pattern(h: Graph, host: PartitionedHost,
-                      xstar: Mapping[int, Iterable[int]] | None,
+def partition_pattern(h: Graph, host: PartitionedHost, xstar: dict | None,
                       alpha: float, seed: int) -> PartitionedPattern:
     """Partition H compatibly with the host and reserve buffer vertices.
 
@@ -268,9 +251,10 @@ def partition_pattern(h: Graph, host: PartitionedHost,
     V(R*) with the switching embedder on the blow-up R* of R; the
     preimages of the blown-up parts are the X_i.
 
-    Pre-placed parts ``xstar`` are honoured: they stay in their
-    designated parts and never meet a buffer.
+    ``xstar`` must be None or empty: no part of H is placed in advance.
     """
+    if not (xstar is None or xstar == {}):
+        raise InvalidArgumentError(f"pre-placed parts are not supported, got {xstar!r}")
     if h.n != host.g.n:
         raise InvalidArgumentError("pattern and host must have the same vertex count")
     if not 0 < alpha < 1:
@@ -287,33 +271,12 @@ def partition_pattern(h: Graph, host: PartitionedHost,
         for node in comp:
             clique_of[node] = comp
 
-    xstar = {i: sorted(vs) for i, vs in (xstar or {}).items() if vs}
-    xstar_all = [v for vs in xstar.values() for v in vs]
-    if len(set(xstar_all)) != len(xstar_all):
-        raise InvalidArgumentError("pre-placed parts overlap")
-    for i, vs in xstar.items():
-        if len(vs) > alpha * host.m:
-            raise InvalidArgumentError(f"pre-placed part {i} exceeds alpha |V_{i}|")
-    for x, y in h.edges:
-        ix = next((i for i, vs in xstar.items() if x in vs), None)
-        iy = next((i for i, vs in xstar.items() if y in vs), None)
-        if ix is not None and iy is not None:
-            if ix == iy or not host.r_graph.has_edge(ix, iy):
-                raise InvalidArgumentError("pre-placed parts are not an R-partition")
-
     master = py_rng(seed)
 
     # Step I: far-apart potential buffer vertices
-    far = set(range(h.n))
-    for x0 in xstar_all:
-        dist = h.bfs_distances(x0)
-        far -= {u for u in range(h.n) if 0 <= dist[u] <= 3}
-    u_verts = sorted(far)
     power = distance_power_graph(h, 5)
-    pw = power.induced(u_verts)
-    coloring = equitable_coloring(pw, pw.max_degree() + 1)
-    b0_local = max(coloring.parts, key=lambda p: (len(p), -min(p) if p else 0))
-    b0 = sorted(u_verts[i] for i in b0_local)
+    coloring = equitable_coloring(power, power.max_degree() + 1)
+    b0 = sorted(max(coloring.parts, key=lambda p: (len(p), -min(p) if p else 0)))
     needs = [int(-(-alpha * host.m // 1))] * host.r
     if sum(needs) > len(b0):
         raise InfeasibleParametersError(
@@ -327,13 +290,6 @@ def partition_pattern(h: Graph, host: PartitionedHost,
     # Step II: pin second neighbourhoods of buffers along R'-cliques
     slots = {i: list(host.clusters[i]) for i in range(host.r)}
     placed: dict[int, int] = {}
-
-    def take_slot(node: int, x: int) -> None:
-        if not slots[node]:
-            raise InfeasibleParametersError(
-                f"cluster {node} ran out of slots while pinning buffers")
-        placed[x] = slots[node].pop(0)
-
     for i in range(host.r):
         comp = clique_of[i]
         ell = len(comp)
@@ -350,10 +306,10 @@ def partition_pattern(h: Graph, host: PartitionedHost,
                 for y in sorted(cls):
                     if y in placed:
                         raise InternalInvariantError("buffer neighbourhoods overlap")
-                    take_slot(node, y)
-    for i, vs in xstar.items():
-        for x in vs:
-            take_slot(i, x)
+                    if not slots[node]:
+                        raise InfeasibleParametersError(
+                            f"cluster {node} ran out of slots while pinning buffers")
+                    placed[y] = slots[node].pop(0)
 
     # Step III: extend to all of H on the blow-up of R, whose slots are host vertices
     rstar = blow_up(host.r_graph, [host.m] * host.r)
@@ -369,7 +325,7 @@ def partition_pattern(h: Graph, host: PartitionedHost,
     parts: list[list[int]] = [[] for _ in range(host.r)]
     for x in range(h.n):
         parts[host.cluster_of[outcome.mapping[x]]].append(x)
-    pattern = PartitionedPattern(h, parts, buffers, {}, PatternParams(alpha, delta))
+    pattern = PartitionedPattern(h, parts, buffers, PatternParams(alpha, delta))
     pattern.validate(host)
     return pattern
 
@@ -410,9 +366,8 @@ def rga_embed(host: PartitionedHost, pattern: PartitionedPattern,
     pool) are excluded and left for the matching stage.  Main vertices
     are processed round-robin across parts, ascending index within a
     part.  The candidate set of x is the unused part of its cluster,
-    intersected with its image restriction and with the host
-    neighbourhoods of all previously embedded H-neighbours; the stage
-    fails when that set is smaller than max(1, floor_fraction |V(x)|).
+    intersected with the host neighbourhoods of all previously embedded
+    H-neighbours; the stage fails when that set is smaller than max(1, floor_fraction |V(x)|).
     """
     rng = np_rng(seed)
 
@@ -435,8 +390,6 @@ def rga_embed(host: PartitionedHost, pattern: PartitionedPattern,
     free = [np.ones(host.m, dtype=bool) for _ in clusters]
     floor = max(1, int(cfg.floor_fraction * host.m))
     part_of, nbrs = pattern.part_of, pattern.nbrs
-    restr_masks = {x: np.isin(clusters[part_of[x]], allowed)
-                   for x, allowed in pattern.restrictions.items()}
 
     # one pick per vertex, each equal to rng.integers(len(cands)); rng draws
     # nothing after this loop
@@ -446,8 +399,6 @@ def rga_embed(host: PartitionedHost, pattern: PartitionedPattern,
     for t, x in enumerate(order):
         part = part_of[x]
         avail = free[part]
-        if x in restr_masks:
-            avail = avail & restr_masks[x]
         rows = cluster_adj[part]
         for y in nbrs[x]:
             if y in phi:
@@ -481,8 +432,8 @@ def complete_with_buffers(host: PartitionedHost, pattern: PartitionedPattern,
 
     Per part, the candidate graph F_i joins each unembedded buffer
     vertex to the unused cluster vertices adjacent to all images of its
-    embedded H-neighbours and inside its image restriction, if it has
-    one; a spread perfect matching of F_i assigns the images.  Fails
+    embedded H-neighbours; a spread perfect matching of F_i assigns the
+    images.  Fails
     with the part index and a Hall witness if some part admits no
     perfect matching within the resampling budget (a buffer vertex
     left without candidates is always in the witness).
@@ -521,10 +472,6 @@ def complete_with_buffers(host: PartitionedHost, pattern: PartitionedPattern,
         host_rows[:n] = adj[:, free]
         padded = np.array([im + [n] * (width - len(im)) for im in images], dtype=np.intp)
         mat = host_rows[padded.reshape(lam, width)].all(axis=1)
-        if pattern.restrictions:
-            for a, x in enumerate(a_list):
-                if x in pattern.restrictions:
-                    mat[a] &= np.isin(free, pattern.restrictions[x])
         params = FBParams(d=host.params.d, b=max(1, min(width, delta)),
                           rho=RHO_RATIO * cfg.mu, mu=cfg.mu, delta=delta)
         f = FBInstance(lam, mat, params)
@@ -549,9 +496,6 @@ def _validate_full_embedding(host, pattern, phi) -> None:
     outside = np.flatnonzero(host.cluster_index[image] != pattern.part_index)
     if len(outside):
         raise InternalInvariantError(f"vertex {outside[0]} embedded outside its cluster")
-    for x, allowed in pattern.restrictions.items():
-        if phi[x] not in allowed:
-            raise InternalInvariantError(f"vertex {x} violates its image restriction")
     edges = pattern.edge_array
     missed = np.flatnonzero(~host.adj_bool()[image[edges[:, 0]], image[edges[:, 1]]])
     if len(missed):

@@ -367,8 +367,3 @@ def parse_fb_instance(text: str, params: FBParams) -> FBInstance:
         edges.append((a, b - lam))
     return FBInstance(lam, edges, params)
 
-
-def format_fb_instance(f: FBInstance) -> str:
-    lines = [f"bipartite {f.lam}"]
-    lines.extend(f"{a} {f.lam + b}" for a, b in sorted(f.edges))
-    return "\n".join(lines) + "\n"

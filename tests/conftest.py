@@ -10,7 +10,7 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from spanembed.graphs import Graph
+from spanembed.graphs import Graph, bits
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -37,6 +37,13 @@ def random_bounded_degree_graph(n: int, max_deg: int, seed: int, p: float = 0.5)
     return Graph(n, edges)
 
 
+def format_fb_instance(f) -> str:
+    """Write an FB instance in the text format ``spread.parse_fb_instance`` reads."""
+    lines = [f"bipartite {f.lam}"]
+    lines.extend(f"{a} {f.lam + b}" for a, b in sorted(f.edges))
+    return "\n".join(lines) + "\n"
+
+
 def random_bipartite_adj(na: int, nb: int, p: float, seed: int) -> list[list[int]]:
     rng = random.Random(seed)
     return [[b for b in range(nb) if rng.random() < p] for _ in range(na)]
@@ -61,7 +68,7 @@ def backtracking_extender(g: Graph, h: Graph, fixed: dict[int, int],
     nodes = 0
 
     def ok_at(x: int, v: int) -> bool:
-        for y in h.neighbors(x):
+        for y in bits(h.adj[x]):
             if y in phi and not g.has_edge(v, phi[y]):
                 return False
         return True

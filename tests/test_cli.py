@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import format_fb_instance
 from spanembed import cli, robustness
 from spanembed.cli import build_parser, main
 from spanembed.errors import InternalInvariantError, InvalidArgumentError
 from spanembed.graphs import Graph, complete_graph, cycle_graph, format_graph, parse_graph
-from spanembed.partition import parse_partition
-from spanembed.spread import FBInstance, FBParams, format_fb_instance, parse_fb_instance
+from spanembed.spread import FBInstance, FBParams, parse_fb_instance
 
 
 @pytest.fixture()
@@ -75,14 +75,14 @@ def test_m1_bad_file_is_exit_2(files, capsys):
 
 
 # reader -> the header line its format starts with ("" for none)
-READERS = {"graph": "n 4\n", "fb-instance": "bipartite 2\n", "partition": "", "phi": ""}
+READERS = {"graph": "n 4\n", "fb-instance": "bipartite 2\n", "phi": ""}
 # case -> (body, the body line an error names, whether the header precedes the
 # body, the readers for which the text is well formed)
 MALFORMED = {
-    "three tokens": ("0 2\n\n1 2 3\n", 3, True, {"partition"}),
+    "three tokens": ("0 2\n\n1 2 3\n", 3, True, set()),
     "non-integer": ("0 2  # fine\n1 x\n", 2, True, set()),
-    "missing header": ("0 2\n", 1, False, {"partition", "phi"}),
-    "comments only": ("# nothing\n\n# here\n", 4, False, {"partition", "phi"}),
+    "missing header": ("0 2\n", 1, False, {"phi"}),
+    "comments only": ("# nothing\n\n# here\n", 4, False, {"phi"}),
 }
 
 
@@ -94,8 +94,6 @@ def _reader_error(reader, text, files, capsys):
             parse_graph(text)
         elif reader == "fb-instance":
             parse_fb_instance(text, FBParams(d=0.8, b=1, rho=0.1, mu=0.25, delta=2))
-        elif reader == "partition":
-            parse_partition(text)
         else:
             k3 = write("k3.txt", format_graph(complete_graph(3)))
             code = main(["embed-switch", k3, k3, "--phi", write("phi.txt", text)])
@@ -270,6 +268,10 @@ def test_bad_config_is_exit_2(files, capsys):
         ("pipeline", pipe + "theta nan\n", "theta must lie in [0,1]"),
         ("pipeline", pipe + "theta inf\n", "theta must lie in [0,1]"),
         ("pipeline", pipe + "theta -1\n", "theta must lie in [0,1]"),
+        # range errors of the library name their line too
+        ("pipeline", pipe.replace("seed 11", "seed -1"), "line 8: seed must fit"),
+        ("scan", scan.replace("seed 3", "seed -1"), "line 5: seed must fit"),
+        ("pipeline", pipe + "theta 2\n", "line 9: theta must lie in [0,1]"),
     ]:
         cfg = write("bad.cfg", text)
         assert main([command, "--config", cfg]) == 2, (command, text)

@@ -1,0 +1,47 @@
+"""Every import in the library modules is used (no linter runs on this tree)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+MODULES = sorted(p for p in (Path(__file__).parent.parent / "src" / "spanembed").glob("*.py")
+                 if p.name != "__init__.py")   # __init__ imports to re-export
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name read in ``tree``, string annotations included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                names |= _names(ast.parse(note.value, mode="eval"))
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = _names(tree)
+    return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_check_finds_unused_names():
+    source = ("from __future__ import annotations\nimport numpy as np\nimport os.path\n"
+              "from typing import Iterable, Mapping\n"
+              "def f(x: 'Iterable[int]') -> None:\n    return os.path.join(x)\n")
+    assert unused_imports(source) == ["line 2: np", "line 4: Mapping"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_library_imports_are_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

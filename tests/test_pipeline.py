@@ -10,7 +10,8 @@ from spanembed.errors import (
     InternalInvariantError,
     InvalidArgumentError,
 )
-from spanembed.graphs import Graph, blow_up, complete_graph
+from spanembed.graphs import Graph, bits, blow_up, complete_graph
+from spanembed.matching import hall_check
 from spanembed.pipeline import (
     HostParams,
     PartitionedHost,
@@ -106,16 +107,18 @@ def test_partition_pattern_edgeless_is_trivial():
     pattern.validate(host)
 
 
-def test_partition_pattern_honors_preplaced():
-    host, _ = triangle_setup(m=25, seed=6)
+def test_partition_pattern_refuses_preplaced_parts():
+    host, pattern = triangle_setup(m=25, seed=6)
     h = clique_factor_pattern(75, 3)
-    xstar = {0: [0], 1: [1], 2: [2]}  # one fixed triangle in designated parts
-    pattern = partition_pattern(h, host, xstar, alpha=0.3, seed=3)
-    pattern.validate(host)
-    for i, vs in xstar.items():
-        for x in vs:
-            assert x in pattern.parts[i]
-            assert x not in pattern.buffers[i]
+    again = partition_pattern(h, host, {}, alpha=0.3, seed=6 ^ 5)
+    assert (again.parts, again.buffers) == (pattern.parts, pattern.buffers)
+    # refused before any other check: a pattern of the wrong size says so only without X*
+    for xstar in ({0: [0], 1: [1], 2: [2]}, {0: []}, [(0, 0)]):
+        for pat in (h, Graph(5, [])):
+            with pytest.raises(InvalidArgumentError, match="pre-placed parts"):
+                partition_pattern(pat, host, xstar, alpha=0.3, seed=3)
+    with pytest.raises(InvalidArgumentError, match="same vertex count"):
+        partition_pattern(Graph(5, []), host, None, alpha=0.3, seed=3)
 
 
 def test_rga_edgeless_pattern_never_starves():
@@ -143,7 +146,7 @@ def test_rga_fails_fast_on_empty_needed_pair():
     parts = [tuple(range(0, 20, 2)), tuple(range(1, 20, 2))]
     buffers = [parts[0][:3], parts[1][:3]]
     from spanembed.pipeline import PartitionedPattern, PatternParams
-    pattern = PartitionedPattern(h, parts, buffers, {}, PatternParams(0.3, 1))
+    pattern = PartitionedPattern(h, parts, buffers, PatternParams(0.3, 1))
     out = rga_embed(host, pattern, RGAConfig(mu=0.25), seed=2)
     assert not out.ok and out.fail_index >= 0
 
@@ -250,6 +253,36 @@ def test_pipeline_built_instances_meet_fb_conditions():
         assert check_fb_conditions(f, seed=1).all_ok
 
 
+def test_sparse_host_buffer_failures_carry_a_hall_witness():
+    # the set-up above at d = 0.3: 7 of 60 trials fail in buffer completion,
+    # each on an F_i with no perfect matching; a buffer vertex whose row of
+    # F_i is empty (trials 0 and 42) must be in the witness
+    host = generate_regular_host(K3, K3, m=60, d=0.3, seed=101)
+    pattern = partition_pattern(clique_factor_pattern(180, 3), host, None,
+                                alpha=0.25, seed=55)
+    cfg = RGAConfig(mu=0.25)
+    failed, empty_rows = {}, 0
+    for i in range(60):
+        master = py_rng(child_seed(2025, i))
+        rga = rga_embed(host, pattern, cfg, fresh_seed(master))
+        assert rga.ok
+        done = complete_with_buffers(host, pattern, rga, cfg, 8, fresh_seed(master))
+        if done.ok:
+            continue
+        failed[i] = done.fail_part
+        f, buf = done.instances[-1], rga.buffer_sets[done.fail_part]
+        assert len(done.instances) == done.fail_part + 1
+        assert not hall_check(f.mat).satisfied
+        rows = [buf.index(x) for x in done.hall_witness]
+        assert rows and len(set(rows)) == len(rows)
+        assert np.count_nonzero(f.mat[rows].any(axis=0)) < len(rows)
+        empty = {buf[a] for a in range(f.lam) if not f.mat[a].any()}
+        assert empty <= set(done.hall_witness)
+        empty_rows += bool(empty)
+    assert failed == {0: 1, 2: 0, 19: 2, 30: 1, 35: 0, 42: 1, 52: 0}
+    assert empty_rows == 2
+
+
 def test_completion_instances_follow_their_definition():
     # F_i joins buffer a to free slot b when b is adjacent to every image of
     # an H-neighbour of a; rebuilt here by set intersection.  At d = 0.4 the
@@ -268,8 +301,8 @@ def test_completion_instances_follow_their_definition():
             want = set()
             for ai, x in enumerate(rga.buffer_sets[i]):
                 allowed = set(free)
-                for y in pattern.h.neighbors(x):
-                    allowed &= set(host.g.neighbors(done.phi[y]))
+                for y in bits(pattern.h.adj[x]):
+                    allowed &= set(bits(host.g.adj[done.phi[y]]))
                 want |= {(ai, free.index(v)) for v in allowed}
             assert f.lam == len(free) == len(rga.buffer_sets[i])
             assert f.edges == want
@@ -479,74 +512,3 @@ def test_buffer_matchings_independent_across_parts():
 def test_blow_up_shape():
     g = blow_up(K2, [2, 3])
     assert g.n == 5 and g.num_edges() == 6
-
-
-def test_image_restriction_validity_check():
-    host, pattern = small_matching_setup()
-    from spanembed.pipeline import PartitionedPattern, PatternParams
-    x = pattern.parts[0][0]
-    narrowed = PartitionedPattern(
-        pattern.h, pattern.parts, pattern.buffers,
-        {x: host.clusters[0][:10]}, pattern.params)
-    assert narrowed.restrictions_valid(host, rho=0.1, zeta=0.3)
-    assert not narrowed.restrictions_valid(host, rho=0.1, zeta=0.6)  # |I_x| too small
-    assert not narrowed.restrictions_valid(host, rho=0.0, zeta=0.3)  # too many restricted
-
-
-def test_rga_honors_image_restrictions():
-    host, pattern = small_matching_setup()
-    from spanembed.pipeline import PartitionedPattern, PatternParams
-    pool = set(pattern.buffers[0])
-    x = next(x for x in pattern.parts[0] if x not in pool)
-    allowed = host.clusters[0][:5]
-    narrowed = PartitionedPattern(pattern.h, pattern.parts, pattern.buffers,
-                                  {x: allowed}, pattern.params)
-    cfg = RGAConfig(mu=0.25)
-    for seed in range(20):
-        out = rga_embed(host, narrowed, cfg, seed)
-        assert out.ok and out.phi[x] in allowed
-
-
-def test_completion_honours_buffer_image_restrictions():
-    # parts[0][3] is in the potential-buffer pool, so in most trials it is
-    # embedded by the buffer matching, which must keep it inside I_x
-    host, pattern = small_matching_setup()
-    from spanembed.pipeline import PartitionedPattern
-    x = pattern.parts[0][3]
-    assert x in pattern.buffers[0]
-    allowed = host.clusters[0][:10]
-    narrowed = PartitionedPattern(pattern.h, pattern.parts, pattern.buffers,
-                                  {x: allowed}, pattern.params)
-    cfg = RGAConfig(mu=0.25)
-    embedded = 0
-    for seed in range(40):
-        trial = run_pipeline_once(host, narrowed, cfg, 6, seed)
-        if trial.ok:
-            assert trial.phi[x] in allowed
-            embedded += 1
-        else:
-            assert trial.fail_stage.startswith("buffers[")
-    assert embedded >= 30
-
-
-def test_completion_restriction_without_candidates_is_a_hall_failure():
-    # restrict a buffer vertex to one host vertex that the greedy stage has
-    # already used: its row of F_i is empty, so part 0 has no perfect matching
-    host, pattern = small_matching_setup()
-    from spanembed.pipeline import PartitionedPattern
-    x = pattern.parts[0][3]
-    cfg = RGAConfig(mu=0.25)
-    seen = 0
-    for seed in range(10):
-        rga = rga_embed(host, pattern, cfg, seed)
-        if not (rga.ok and x in rga.buffer_sets[0]):
-            continue
-        taken = min(v for y, v in rga.phi.items() if pattern.part_of[y] == 0)
-        narrowed = PartitionedPattern(pattern.h, pattern.parts, pattern.buffers,
-                                      {x: [taken]}, pattern.params)
-        assert rga_embed(host, narrowed, cfg, seed) == rga
-        done = complete_with_buffers(host, narrowed, rga, cfg, c=6, seed=seed)
-        assert not done.ok and done.fail_part == 0
-        assert x in done.hall_witness
-        seen += 1
-    assert seen >= 3

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_bipartite_adj
+from conftest import format_fb_instance, random_bipartite_adj
 from spanembed.errors import InvalidArgumentError
 from spanembed.seeds import fresh_seed, py_rng
 from spanembed.spread import (
@@ -14,7 +14,6 @@ from spanembed.spread import (
     check_fb_conditions,
     default_coupling_constant,
     estimate_matching_spread,
-    format_fb_instance,
     parse_fb_instance,
     per_edge_union_bound,
     sample_coupled,

@@ -48,6 +48,8 @@ from .robustness import (
     DEFAULT_BUDGET,
     SCAN_COLUMNS,
     ThresholdScan,
+    check_count,
+    check_p_grid,
     clique_factor_pattern,
     dirac_overlap_host,
     mixture_pattern,
@@ -120,8 +122,13 @@ def _seed(text: str) -> int:
     return check_seed(int(text))
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(","))
+def _ranged(key: str, convert, ok, need: str):
+    """A converter for ``key`` that refuses a value failing ``ok`` as not ``need``."""
+    def checked(text: str):
+        if not ok(value := convert(text)):
+            raise InvalidArgumentError(f"{key} = {text} must be {need}")
+        return value
+    return checked
 
 
 def _open_out(path: str | None):
@@ -233,21 +240,14 @@ def _run_matching_event(inst, c, spec, trials, seed) -> SpreadEstimate:
 
 def cmd_pipeline(args) -> int:
     conf = parse_config(args.config, PIPELINE_KEYS)
-    delta = config_value(conf, "delta", int, 2)
-    d = config_value(conf, "d", float, 0.5)
-    m = config_value(conf, "m", int, 40)
-    r = config_value(conf, "r", int, delta + 1)
-    mu = config_value(conf, "mu", float, 0.25)
-    c = config_value(conf, "C", int, 8)
-    trials = config_value(conf, "trials", int, 200)
+    delta = config_value(conf, "delta", _ranged("delta", int, lambda v: v >= 0, ">= 0"), 2)
+    d = config_value(conf, "d", _ranged("d", float, lambda v: 0 < v <= 0.5, "in (0, 0.5]"), 0.5)
+    m = config_value(conf, "m", _ranged("m", int, lambda v: v >= 20, ">= 20"), 40)
+    r = config_value(conf, "r", _ranged("r", int, lambda v: v >= 1, ">= 1"), delta + 1)
+    mu = config_value(conf, "mu", _ranged("mu", float, lambda v: 0 < v < 1, "in (0, 1)"), 0.25)
+    c = config_value(conf, "C", _ranged("C", int, lambda v: v >= 1, ">= 1"), 8)
+    trials = config_value(conf, "trials", _ranged("trials", int, lambda v: v >= 1, ">= 1"), 200)
     seed = config_value(conf, "seed", _seed, 0)
-    for key, ok, need in (("delta", delta >= 0, ">= 0"), ("r", r >= 1, ">= 1"),
-                          ("C", c >= 1, ">= 1"), ("trials", trials >= 1, ">= 1"),
-                          ("m", m >= 20, ">= 20"), ("d", 0 < d <= 0.5, "in (0, 0.5]"),
-                          ("mu", 0 < mu < 1, "in (0, 1)")):
-        if not ok:
-            lineno, raw = conf[key]
-            raise InvalidArgumentError(f"line {lineno}: {key} = {raw} must be {need}")
     if r % (delta + 1):
         raise InvalidArgumentError(f"r = {r} must be a multiple of delta+1 = {delta + 1}")
     cfg = config_value(conf, "theta", lambda v: RGAConfig(mu, float(v)), RGAConfig(mu))
@@ -312,12 +312,13 @@ def cmd_scan(args) -> int:
     pattern_name = config_value(conf, "pattern", str, "matching")
     pattern = (_PATTERNS[pattern_name](host.n) if pattern_name in _PATTERNS
                else read_graph(pattern_name))
-    grid = config_value(conf, "pgrid", _float_list)
+    grid = config_value(conf, "pgrid",
+                        lambda v: check_p_grid(tuple(float(tok) for tok in v.split(","))))
     if grid is None:
         raise InvalidArgumentError("scan config needs a pgrid line")
-    scan = ThresholdScan(host, pattern, grid,
-                         trials=config_value(conf, "trials", int, 1000),
-                         seed=seed, budget=config_value(conf, "budget", int, DEFAULT_BUDGET))
+    trials = config_value(conf, "trials", lambda v: check_count("trials", int(v)), 1000)
+    budget = config_value(conf, "budget", lambda v: check_count("budget", int(v)), DEFAULT_BUDGET)
+    scan = ThresholdScan(host, pattern, grid, trials=trials, seed=seed, budget=budget)
     rows = threshold_scan(scan)
     _emit_csv(args.out, SCAN_COLUMNS, [r.as_csv_row() for r in rows])
     if any(r.flag for r in rows):

@@ -54,6 +54,7 @@ from .switching import delta_e_upper_bound
 from .tailbounds import hypergeo_chernoff_bound, wilson_interval
 
 DEFAULT_BUDGET = 10_000_000
+THM91_SUBSET_TRIALS = 2000   # half-size host subsets behind the tail check of scan_thm91_grid
 
 SCAN_COLUMNS = ("kind", "p", "trials", "successes", "timeouts",
                 "fraction", "wilson_lo", "wilson_hi", "flag")
@@ -271,6 +272,24 @@ def _contains_backtracking(gp: Graph, h: Graph, budget: int) -> ContainVerdict:
 # -- threshold scans -----------------------------------------------------
 
 
+def check_p_grid(grid: tuple[float, ...]) -> tuple[float, ...]:
+    """``grid`` itself if it is nonempty, strictly increasing and inside (0,1]."""
+    if not grid:
+        raise InvalidArgumentError("empty p-grid")
+    if any(not 0 < p <= 1 for p in grid):
+        raise InvalidArgumentError("p values must lie in (0,1]")
+    if any(b >= a for a, b in zip(grid[1:], grid)):
+        raise InvalidArgumentError("p-grid must be strictly increasing")
+    return grid
+
+
+def check_count(name: str, value: int) -> int:
+    """``value`` itself if it is at least 1; ``name`` words the refusal."""
+    if value < 1:
+        raise InvalidArgumentError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class ThresholdScan:
     host: Graph
@@ -282,16 +301,9 @@ class ThresholdScan:
     kind: str = "scan"
 
     def __post_init__(self):
-        if not self.p_grid:
-            raise InvalidArgumentError("empty p-grid")
-        if any(not 0 < p <= 1 for p in self.p_grid):
-            raise InvalidArgumentError("p values must lie in (0,1]")
-        if any(b >= a for a, b in zip(self.p_grid[1:], self.p_grid)):
-            raise InvalidArgumentError("p-grid must be strictly increasing")
-        if self.trials < 1:
-            raise InvalidArgumentError(f"trials must be >= 1, got {self.trials}")
-        if self.budget < 1:
-            raise InvalidArgumentError(f"budget must be >= 1, got {self.budget}")
+        check_p_grid(self.p_grid)
+        check_count("trials", self.trials)
+        check_count("budget", self.budget)
 
 
 @dataclass(frozen=True)
@@ -358,16 +370,15 @@ def threshold_scan(scan: ThresholdScan) -> list[ScanRow]:
 
 
 def scan_thm91_grid(delta: int, n: int, gamma: float, seed: int,
-                    trials: int = 200, budget: int = DEFAULT_BUDGET,
-                    subset_trials: int = 2000) -> dict:
+                    trials: int = 200, budget: int = DEFAULT_BUDGET) -> dict:
     """Two-grid scan for clique-plus-remainder mixtures, plus a tail check.
 
     The pattern mixes K_{delta+1} components with a K_{delta+1}-free
     remainder; one grid follows the n^(-1/m1) log n shape, the other
     the sharper n^(-2/(delta+1)) (log n)^(1/binom(delta+1,2)) shape.
-    Also samples random half-size vertex subsets of the host and
-    reports the frequency of degree-deficient vertices against the
-    hypergeometric tail bound.
+    Also samples THM91_SUBSET_TRIALS random half-size vertex subsets of
+    the host and reports the frequency of degree-deficient vertices
+    against the hypergeometric tail bound.
     """
     if not 0 < gamma < 2:
         raise InvalidArgumentError(f"gamma must lie in (0,2), so that eps = gamma/2 lies "
@@ -401,7 +412,7 @@ def scan_thm91_grid(delta: int, n: int, gamma: float, seed: int,
     rng = py_rng(child_seed(seed, 3))
     bad = 0
     total = 0
-    for _ in range(subset_trials):
+    for _ in range(THM91_SUBSET_TRIALS):
         subset = rng.sample(range(n), k)
         smask = mask_of(subset)
         for v in subset:

@@ -302,12 +302,13 @@ def sample_spread_matching(f: FBInstance, c: int, max_resamples: int, seed: int)
     spread suites verify the bound under the actual resampling policy
     rather than assuming the analysis factor.
     """
+    if max_resamples < 0:
+        raise InvalidArgumentError(f"max_resamples must be >= 0, got {max_resamples}")
     lam = f.lam
     if lam == 0:
         return MatchingDraw(True, frozenset(), 1)
     rng = py_rng(seed)
     draws = 0
-    z = np.zeros_like(f.mat)     # a negative budget allows no draw: Hall on an empty Z
     while draws <= max_resamples:
         z = sample_coupled(f, c, fresh_seed(rng)).z_mat
         draws += 1

@@ -262,9 +262,11 @@ def test_bad_config_is_exit_2(files, capsys):
         ("pipeline", pipe.replace("d 0.5", "d 0"), "line 2"),
         ("pipeline", pipe.replace("mu 0.25", "mu 1"), "line 5"),
         ("pipeline", pipe.replace("mu 0.25", "mu nan"), "line 5"),
-        ("scan", scan + "trials -3\n", "trials must be >= 1"),
-        ("scan", scan + "budget -4\n", "budget must be >= 1"),
-        ("scan", scan + "budget 0\n", "budget must be >= 1"),
+        ("scan", scan + "trials -3\n", "line 6: trials must be >= 1, got -3"),
+        ("scan", scan + "budget -4\n", "line 6: budget must be >= 1, got -4"),
+        ("scan", scan + "budget 0\n", "line 6: budget must be >= 1, got 0"),
+        ("scan", scan.replace("0.2,1.0", "0.5,0.2"), "line 4: p-grid must be strictly increasing"),
+        ("scan", scan.replace("0.2,1.0", "0.5,2"), "line 4: p values must lie in (0,1]"),
         ("pipeline", pipe + "theta nan\n", "theta must lie in [0,1]"),
         ("pipeline", pipe + "theta inf\n", "theta must lie in [0,1]"),
         ("pipeline", pipe + "theta -1\n", "theta must lie in [0,1]"),

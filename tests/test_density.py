@@ -15,7 +15,7 @@ from spanembed.density import (
     one_density,
 )
 from spanembed.errors import InvalidArgumentError, UnsupportedSizeError
-from spanembed.graphs import Graph, complete_graph, cycle_graph
+from spanembed.graphs import Graph, complete_graph, cycle_graph, disjoint_union
 
 
 def test_package_attribute_is_the_density_module():
@@ -115,18 +115,49 @@ def test_flow_path_agrees_with_exhaustive_on_medium_components():
         assert Fraction(w.num_edges(), w.n - 1) == Fraction(num_f, den_f)
 
 
-def test_large_component_uses_flow_path():
-    # sparse connected 24-vertex graph: package path is the flow search,
-    # the enumeration path is still feasible for the cross-check
-    g = random_bounded_degree_graph(24, 3, seed=9, p=0.9)
-    comp = max(g.connected_components(), key=len)
-    sub = g.induced(comp)
-    assert sub.n > 20
-    num_e, den_e, _ = _component_m1_exhaustive(sub)
+def _spy_on_paths(monkeypatch):
+    """Record the vertex count of every component each path is handed."""
+    seen = {}
+    for name in ("_component_m1_exhaustive", "_component_m1_flow"):
+        real, seen[name] = getattr(density, name), []
+
+        def spy(g, real=real, sizes=seen[name]):
+            sizes.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(density, name, spy)
+    return seen
+
+
+def test_component_size_picks_the_path(monkeypatch):
+    # cycles of EXHAUSTIVE_LIMIT and EXHAUSTIVE_LIMIT + 1 vertices side by side
+    limit = density.EXHAUSTIVE_LIMIT
+    seen = _spy_on_paths(monkeypatch)
+    value, witness = max_one_density(disjoint_union(cycle_graph(limit), cycle_graph(limit + 1)))
+    assert seen == {"_component_m1_exhaustive": [limit], "_component_m1_flow": [limit + 1]}
+    assert value == Fraction(limit, limit - 1)
+    assert witness == tuple(range(limit))
+
+
+def test_large_component_uses_flow_path(monkeypatch):
+    # sparse connected 18-vertex graph: the package takes the flow search,
+    # and the subset scan (2^18 sets) cross-checks it
+    g = random_bounded_degree_graph(18, 3, seed=9, p=0.9)
+    assert len(g.connected_components()) == 1 and g.n > density.EXHAUSTIVE_LIMIT
+    num_e, den_e, _ = _component_m1_exhaustive(g)
+    seen = _spy_on_paths(monkeypatch)
     value, witness = max_one_density(g)
-    assert value >= Fraction(num_e, den_e)  # whole graph includes the component
+    assert seen == {"_component_m1_exhaustive": [], "_component_m1_flow": [18]}
+    assert value == Fraction(num_e, den_e)
     w = g.induced(list(witness))
     assert Fraction(w.num_edges(), w.n - 1) == value
+
+
+def test_ties_go_to_the_smallest_bitmask():
+    # every edge of this tree, and the whole tree, has 1-density 1;
+    # {1, 3} is the attaining set with the smallest bitmask (0b1010)
+    tree = Graph(5, [(0, 4), (1, 3), (2, 3), (3, 4)])
+    assert max_one_density(tree) == (1, (1, 3))
 
 
 def _clique(vertices):

@@ -285,8 +285,7 @@ def test_threshold_scan_flags_timeouts():
 
 
 def test_scan_thm91_shapes_and_tail():
-    result = scan_thm91_grid(2, 12, gamma=0.2, seed=5, trials=40,
-                             subset_trials=1500)
+    result = scan_thm91_grid(2, 12, gamma=0.2, seed=5, trials=40)
     kinds = {r.kind for r in result["rows"]}
     assert kinds == {"m1-grid", "improved-grid"}
     freq = result["bad_vertex_frequency"]

@@ -239,6 +239,12 @@ def test_sample_matching_fails_with_isolated_vertex():
     assert draw.hall_witness == (0,)
 
 
+def test_sample_matching_refuses_a_negative_budget():
+    # a budget below 0 would allow no draw at all
+    with pytest.raises(InvalidArgumentError, match="max_resamples"):
+        sample_spread_matching(complete_instance(4), 2, max_resamples=-1, seed=0)
+
+
 def test_estimate_spread_trivial_cases():
     # an empty S holds on every successful draw and an S that is not a matching
     # on none; both count successful draws, as every other S does

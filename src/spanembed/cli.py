@@ -15,9 +15,10 @@ Each subcommand takes only the flags its body reads:
 Exit codes: 0 success, 2 invalid input, 3 infeasible parameters, 4
 timeout-dominated scan.
 
-Config files are flat key-value text: one `key value` (or `key=value`)
-per line, # comments allowed.  A key the command does not read, a
-repeated key or a malformed value is invalid input.
+Config files are flat key-value text: one `key value` per line, #
+comments allowed.  A key the command does not read, a repeated key, or a
+value that is malformed or fails the library's own check is invalid
+input at its line.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .graphs import complete_graph, disjoint_union, int_pairs, read_graph, recor
 from .partition import clique_factor, equitable_coloring, format_partition
 from .pipeline import (
     RGAConfig,
+    check_cluster_size,
+    check_density,
     estimate_vertex_spread,
     generate_regular_host,
     partition_pattern,
@@ -59,7 +62,7 @@ from .robustness import (
     threshold_scan,
     unbalanced_multipartite_host,
 )
-from .seeds import check_seed, child_seed, count_trials
+from .seeds import check_seed, child_seed, count_trials, trial_draws
 from .spread import (
     FBParams,
     SpreadEstimate,
@@ -77,7 +80,7 @@ EXIT_INFEASIBLE = 3
 EXIT_TIMEOUT_SCAN = 4
 
 
-PIPELINE_KEYS = ("delta", "d", "m", "r", "mu", "theta", "C", "trials", "seed")
+PIPELINE_KEYS = ("delta", "d", "m", "r", "mu", "C", "trials", "seed")
 SCAN_KEYS = ("n", "seed", "host", "pattern", "pgrid", "trials", "budget")
 
 
@@ -90,8 +93,7 @@ def parse_config(path: str, keys: tuple[str, ...]) -> dict[str, tuple[int, str]]
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     for lineno, line in records(text):
-        key, _, val = line.partition("=" if "=" in line else " ")
-        key = key.strip()
+        key, _, val = line.partition(" ")
         if key not in keys:
             raise InvalidArgumentError(
                 f"line {lineno}: unknown key {key!r}; expected one of {' '.join(keys)}")
@@ -118,25 +120,15 @@ def config_value(conf: dict[str, tuple[int, str]], key: str, convert, default=No
         raise InvalidArgumentError(f"line {lineno}: bad value {raw!r} for {key}") from None
 
 
-def _seed(text: str) -> int:
-    return check_seed(int(text))
-
-
-def _ranged(key: str, convert, ok, need: str):
-    """A converter for ``key`` that refuses a value failing ``ok`` as not ``need``."""
-    def checked(text: str):
-        if not ok(value := convert(text)):
-            raise InvalidArgumentError(f"{key} = {text} must be {need}")
-        return value
-    return checked
-
-
-def _open_out(path: str | None):
-    return open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
+def _clique_multiple(r: int, delta: int) -> int:
+    """``r`` itself if R's r nodes split into cliques of delta + 1."""
+    if r % (delta + 1):
+        raise InvalidArgumentError(f"r = {r} must be a multiple of delta+1 = {delta + 1}")
+    return r
 
 
 def _emit_csv(path: str | None, header, rows) -> None:
-    fh = _open_out(path)
+    fh = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
     try:
         w = csv.writer(fh)
         w.writerow(header)
@@ -200,8 +192,7 @@ def cmd_clique_factor(args) -> int:
 
 
 def cmd_spread_matching(args) -> int:
-    if args.trials < 1:
-        raise InvalidArgumentError(f"--trials = {args.trials} must be >= 1")
+    check_count("--trials", args.trials)
     params = FBParams(d=args.d, b=args.b, rho=0.1, mu=0.25, delta=args.b)
     with open(args.instance, "r", encoding="utf-8") as fh:
         inst = parse_fb_instance(fh.read(), params)
@@ -240,27 +231,24 @@ def _run_matching_event(inst, c, spec, trials, seed) -> SpreadEstimate:
 
 def cmd_pipeline(args) -> int:
     conf = parse_config(args.config, PIPELINE_KEYS)
-    delta = config_value(conf, "delta", _ranged("delta", int, lambda v: v >= 0, ">= 0"), 2)
-    d = config_value(conf, "d", _ranged("d", float, lambda v: 0 < v <= 0.5, "in (0, 0.5]"), 0.5)
-    m = config_value(conf, "m", _ranged("m", int, lambda v: v >= 20, ">= 20"), 40)
-    r = config_value(conf, "r", _ranged("r", int, lambda v: v >= 1, ">= 1"), delta + 1)
-    mu = config_value(conf, "mu", _ranged("mu", float, lambda v: 0 < v < 1, "in (0, 1)"), 0.25)
-    c = config_value(conf, "C", _ranged("C", int, lambda v: v >= 1, ">= 1"), 8)
-    trials = config_value(conf, "trials", _ranged("trials", int, lambda v: v >= 1, ">= 1"), 200)
-    seed = config_value(conf, "seed", _seed, 0)
-    if r % (delta + 1):
-        raise InvalidArgumentError(f"r = {r} must be a multiple of delta+1 = {delta + 1}")
-    cfg = config_value(conf, "theta", lambda v: RGAConfig(mu, float(v)), RGAConfig(mu))
+    delta = config_value(conf, "delta", lambda v: check_count("delta", int(v)), 2)
+    d = config_value(conf, "d", lambda v: check_density(float(v)), 0.5)
+    m = config_value(conf, "m", lambda v: check_cluster_size(int(v)), 40)
+    r = config_value(conf, "r", lambda v: _clique_multiple(check_count("r", int(v)), delta),
+                     delta + 1)
+    cfg = config_value(conf, "mu", lambda v: RGAConfig(float(v)), RGAConfig())
+    c = config_value(conf, "C", lambda v: check_count("C", int(v)), 8)
+    trials = config_value(conf, "trials", lambda v: check_count("trials", int(v)), 200)
+    seed = config_value(conf, "seed", lambda v: check_seed(int(v)), 0)
     blocks = r // (delta + 1)
     rgraph = disjoint_union(*[complete_graph(delta + 1) for _ in range(blocks)])
     host = generate_regular_host(rgraph, rgraph, m, d, seed)
     pattern = partition_pattern(clique_factor_pattern(r * m, delta + 1), host, None,
-                                alpha=mu, seed=child_seed(seed, 1))
-    rows = []
-    for t in range(trials):
-        trial = run_pipeline_once(host, pattern, cfg, c, child_seed(seed, t))
-        rows.append([t, int(trial.ok), trial.fail_stage,
-                     min(trial.rga_sizes) if trial.rga_sizes else 0])
+                                alpha=cfg.mu, seed=child_seed(seed, 1))
+    runs = trial_draws(lambda trial_seed: run_pipeline_once(host, pattern, cfg, c, trial_seed),
+                       trials, seed)
+    rows = [[t, int(trial.ok), trial.fail_stage, min(trial.rga_sizes) if trial.rga_sizes else 0]
+            for t, trial in enumerate(runs)]
     _emit_csv(args.out, ["trial", "ok", "fail_stage", "min_candidate"], rows)
 
     n = host.g.n
@@ -300,7 +288,7 @@ _PATTERNS = {
 def cmd_scan(args) -> int:
     conf = parse_config(args.config, SCAN_KEYS)
     n = config_value(conf, "n", int, 20)
-    seed = config_value(conf, "seed", _seed, 0)
+    seed = config_value(conf, "seed", lambda v: check_seed(int(v)), 0)
     host_name = config_value(conf, "host", str, "complete")
     if host_name in _HOSTS:
         host = _HOSTS[host_name](n, seed)

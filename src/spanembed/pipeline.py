@@ -4,7 +4,7 @@ The pipeline embeds a bounded-degree pattern H into a partitioned host
 G in two stages.  First a random greedy stage embeds the main vertices
 one by one, each uniformly at random into its candidate set (unused
 cluster vertices adjacent to all images of earlier H-neighbours),
-failing if a candidate set drops below a configured floor.  Then the
+failing if a candidate set drops below mu/10 of the cluster.  Then the
 reserved buffer vertices are completed per part via spread perfect
 matchings of the bipartite candidate graphs, so that the resulting
 distribution over embeddings spreads no vertex pair above O(1/n).
@@ -116,6 +116,20 @@ class PartitionedHost:
         return f"PartitionedHost(n={self.g.n}, r={self.r}, m={self.m})"
 
 
+def check_cluster_size(m: int) -> int:
+    """``m`` itself if clusters of m vertices are large enough to verify (m >= 20)."""
+    if m < 20:
+        raise InvalidArgumentError(f"cluster size must be at least 20, got {m}")
+    return m
+
+
+def check_density(d: float) -> float:
+    """``d`` itself if it lies in (0, 0.5], so that 2d is a probability."""
+    if not 0 < d <= 0.5:
+        raise InvalidArgumentError(f"need 0 < d <= 0.5 so 2d is a probability, got {d}")
+    return d
+
+
 def generate_regular_host(r_graph: Graph, rprime: Graph, m: int, d: float,
                           seed: int) -> PartitionedHost:
     """Blow up R to clusters of size m with verified (eps,d)-regular pairs.
@@ -127,10 +141,8 @@ def generate_regular_host(r_graph: Graph, rprime: Graph, m: int, d: float,
     and the randomized regularity refuter on all R-pairs.  Failed
     attempts resample with a fresh child seed, up to HOST_ATTEMPTS times.
     """
-    if m < 20:
-        raise InvalidArgumentError(f"cluster size must be at least 20, got {m}")
-    if not 0 < d <= 0.5:
-        raise InvalidArgumentError(f"need 0 < d <= 0.5 so 2d is a probability, got {d}")
+    check_cluster_size(m)
+    check_density(d)
     check_seed(seed)
     r = r_graph.n
     n = r * m
@@ -336,17 +348,14 @@ def partition_pattern(h: Graph, host: PartitionedHost, xstar: dict | None,
 @dataclass(frozen=True)
 class RGAConfig:
     mu: float = 0.25
-    theta: float | None = None        # candidate floor fraction; default mu/10
 
     def __post_init__(self):
         if not 0 < self.mu < 1:
             raise InvalidArgumentError(f"mu must lie in (0,1), got {self.mu}")
-        if self.theta is not None and not 0 <= self.theta <= 1:
-            raise InvalidArgumentError(f"theta must lie in [0,1] or be unset, got {self.theta}")
 
     @property
     def floor_fraction(self) -> float:
-        return self.theta if self.theta is not None else self.mu / 10.0
+        return self.mu / 10.0
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Random-subgraph experiments: G(p) sampling, containment, threshold scans.
 
-G(p) keeps each host edge independently with probability p; a scan
-reuses one trial seed across its whole p-grid, so the kept edge sets
-are nested and containment is exactly monotone along the grid (shared
-uniform per edge).  A trial sorts its uniforms once, and each G(p) is
-a prefix of that edge order.  Containment of a spanning pattern is
-decided exactly by a budgeted backtracking search, with two special
+G(p) keeps the host edges whose uniform lies below p.  ``nested_gp``
+draws it for a whole p-grid from one trial seed, so the kept edge sets
+are nested and containment is exactly monotone along the grid: a trial
+sorts its uniforms once, and each G(p) is a prefix of that edge order.
+``sample_gp`` is its one-point case.  Containment of a spanning pattern
+is decided exactly by a budgeted backtracking search, with two special
 cases:
 
 * matchings (maximum degree one) in polynomial time: H embeds iff Gp
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .graphs import (
     mask_of,
 )
 from .matching import UNMATCHED, edmonds_matching
-from .seeds import child_seed, check_seed, np_rng, py_rng
+from .seeds import child_seed, np_rng, py_rng, trial_draws
 from .switching import delta_e_upper_bound
 from .tailbounds import hypergeo_chernoff_bound, wilson_interval
 
@@ -60,14 +61,25 @@ SCAN_COLUMNS = ("kind", "p", "trials", "successes", "timeouts",
                 "fraction", "wilson_lo", "wilson_hi", "flag")
 
 
+def nested_gp(n: int, edges: Sequence[tuple[int, int]], grid: Sequence[float],
+              seed: int) -> Iterator[Graph]:
+    """One trial's G(p) for each p of the ascending ``grid``, built lazily on ``n`` vertices.
+
+    ``edges`` are the host edges in sorted order, one uniform each; G(p)
+    is the prefix of them ranked by uniform that ``searchsorted`` counts.
+    """
+    uniforms = np_rng(seed).random(len(edges))
+    order = np.argsort(uniforms)
+    ranked = [edges[i] for i in order.tolist()]
+    for cut in np.searchsorted(uniforms[order], grid).tolist():
+        yield Graph(n, ranked[:cut])
+
+
 def sample_gp(g: Graph, p: float, seed: int) -> Graph:
     """Spanning random subgraph keeping each edge independently with probability p."""
     if not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"p must lie in [0,1], got {p}")
-    check_seed(seed)
-    edges = g.sorted_edges()
-    keep = np_rng(seed).random(len(edges)) < p
-    return Graph(g.n, [e for e, k in zip(edges, keep) if k])
+    return next(nested_gp(g.n, g.sorted_edges(), (p,), seed))
 
 
 # -- exact spanning containment ----------------------------------------
@@ -319,11 +331,8 @@ class ScanRow:
     def fraction(self) -> float:
         return self.successes / self.trials if self.trials else 0.0
 
-    def wilson(self) -> tuple[float, float]:
-        return wilson_interval(self.successes, self.trials)
-
     def as_csv_row(self) -> list:
-        lo, hi = self.wilson()
+        lo, hi = wilson_interval(self.successes, self.trials)
         return [self.kind, f"{self.p:.8g}", self.trials, self.successes,
                 self.timeouts, f"{self.fraction:.6f}", f"{lo:.6f}", f"{hi:.6f}", self.flag]
 
@@ -332,40 +341,27 @@ def threshold_scan(scan: ThresholdScan) -> list[ScanRow]:
     """Empirical containment probability per grid point, coupled across p.
 
     Each trial reuses its seed across the entire grid, so the sampled
-    edge sets are nested in p; containment is then monotone and any
-    decrease across a coupled pair is a hard error.  Timeouts beyond
-    20% of trials flag the row as unreliable.
-
-    A trial sorts its edge uniforms once: G(p) keeps the edges whose
-    uniform lies below p, which is the prefix of that order whose
-    length ``searchsorted`` counts.
+    edge sets are nested in p (``nested_gp``); containment is then
+    monotone and any decrease across a coupled pair is a hard error.
+    Timeouts beyond 20% of trials flag the row as unreliable.
     """
-    m = len(scan.host.edges)
-    successes = [0] * len(scan.p_grid)
-    timeouts = [0] * len(scan.p_grid)
     edges = scan.host.sorted_edges()
-    for t in range(scan.trials):
-        uniforms = np_rng(child_seed(scan.seed, t)).random(m)
-        order = np.argsort(uniforms)
-        ranked = [edges[i] for i in order.tolist()]
-        cuts = np.searchsorted(uniforms[order], scan.p_grid).tolist()
-        prev_yes = False
-        for gi, p in enumerate(scan.p_grid):
-            gp = Graph(scan.host.n, ranked[:cuts[gi]])
-            verdict = contains_spanning(gp, scan.pattern, scan.budget)
-            if verdict.kind == TIMEOUT:
-                timeouts[gi] += 1
-                continue
-            if verdict.yes:
-                successes[gi] += 1
-                prev_yes = True
-            elif prev_yes:
+
+    def verdict_kinds(trial_seed: int) -> list[str]:
+        kinds = []
+        for p, gp in zip(scan.p_grid, nested_gp(scan.host.n, edges, scan.p_grid, trial_seed)):
+            kind = contains_spanning(gp, scan.pattern, scan.budget).kind
+            if kind == NO and YES in kinds:
                 raise InternalInvariantError(
-                    f"coupled monotonicity violated at p={p} on trial {t}")
+                    f"coupled monotonicity violated at p={p} on the trial at seed {trial_seed}")
+            kinds.append(kind)
+        return kinds
+
     rows = []
-    for gi, p in enumerate(scan.p_grid):
-        flag = "scan-unreliable" if timeouts[gi] > 0.2 * scan.trials else ""
-        rows.append(ScanRow(scan.kind, p, scan.trials, successes[gi], timeouts[gi], flag))
+    for p, kinds in zip(scan.p_grid, zip(*trial_draws(verdict_kinds, scan.trials, scan.seed))):
+        timeouts = kinds.count(TIMEOUT)
+        rows.append(ScanRow(scan.kind, p, scan.trials, kinds.count(YES), timeouts,
+                            "scan-unreliable" if timeouts > 0.2 * scan.trials else ""))
     return rows
 
 

@@ -2,9 +2,10 @@
 
 All randomized operations are pure functions of (inputs, seed), with the
 seed a 64-bit unsigned integer.  Trial ``i`` of an estimate runs at the
-child seed ``seed XOR i``, and ``count_trials`` is the one loop that
-applies the rule; within a single operation, further randomness is
-drawn sequentially from one generator seeded with the operation's seed.
+child seed ``seed XOR i``; ``trial_draws`` is the one loop that applies
+the rule, and ``count_trials`` sums over it.  Within one operation,
+further randomness is drawn sequentially from one generator seeded with
+the operation's seed.
 
 Nearby seeds share trials: ``seed XOR i`` permutes the block of indices
 below 2^k, so every estimate at a seed below 2^k runs trials 0..2^k-1 on
@@ -16,7 +17,7 @@ instance ``r << 32`` for replicate r), not consecutive small seeds.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,16 +39,21 @@ def child_seed(seed: int, index: int) -> int:
     return check_seed(seed) ^ (index & SEED_MASK)
 
 
+def trial_draws(draw: Callable[[int], Any], trials: int, seed: int) -> Iterator[Any]:
+    """``draw(child_seed(seed, i))`` for trials i = 0 .. trials-1, in trial order."""
+    for i in range(trials):
+        yield draw(child_seed(seed, i))
+
+
 def count_trials(draw: Callable[[int], Any], events: Sequence[Callable[[Any], bool]],
                  trials: int, seed: int) -> tuple[int, list[int]]:
-    """Trial ``i`` calls ``draw(child_seed(seed, i))``; a draw of ``None`` failed.
+    """Counts over ``trial_draws(draw, trials, seed)``; a draw of ``None`` failed.
 
     Returns the number of successful draws and, for each event, how many
     of them it holds on.  Each count is a sum of per-trial outcomes.
     """
     successes, hits = 0, [0] * len(events)
-    for i in range(trials):
-        outcome = draw(child_seed(seed, i))
+    for outcome in trial_draws(draw, trials, seed):
         if outcome is None:
             continue
         successes += 1

@@ -2,9 +2,11 @@ import contextlib
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,13 @@ from spanembed import cli, robustness
 from spanembed.cli import build_parser, main
 from spanembed.errors import InternalInvariantError, InvalidArgumentError
 from spanembed.graphs import Graph, complete_graph, cycle_graph, format_graph, parse_graph
+from spanembed.pipeline import (
+    RGAConfig,
+    generate_regular_host,
+    partition_pattern,
+    run_pipeline_once,
+)
+from spanembed.seeds import child_seed
 from spanembed.spread import FBInstance, FBParams, parse_fb_instance
 
 
@@ -192,6 +201,22 @@ def test_pipeline_subcommand(files, tmp_path, capsys):
     assert spread_rows[-1][0] == "max"
 
 
+def test_pipeline_rows_are_trials_at_child_seeds(files, tmp_path):
+    # row t is run_pipeline_once at child_seed(seed, t) on the config's host and pattern
+    write, _ = files
+    cfg = write("pipe.cfg", "delta 2\nd 0.5\nm 20\nr 3\nmu 0.25\nC 5\ntrials 6\nseed 11\n")
+    out_csv = str(tmp_path / "pipe.csv")
+    assert main(["pipeline", "--config", cfg, "--out", out_csv]) == 0
+    host = generate_regular_host(complete_graph(3), complete_graph(3), 20, 0.5, 11)
+    pattern = partition_pattern(robustness.clique_factor_pattern(60, 3), host, None,
+                                alpha=0.25, seed=child_seed(11, 1))
+    trials = [run_pipeline_once(host, pattern, RGAConfig(0.25), 5, child_seed(11, t))
+              for t in range(6)]
+    assert list(csv.reader(open(out_csv)))[1:] == [
+        [str(t), str(int(trial.ok)), trial.fail_stage, str(min(trial.rga_sizes))]
+        for t, trial in enumerate(trials)]
+
+
 def test_scan_thm91_subcommand(capsys):
     assert main(["scan-thm91", "--n", "12", "--gamma", "0.1",
                  "--seed", "2", "--trials", "10"]) == 0
@@ -267,13 +292,13 @@ def test_bad_config_is_exit_2(files, capsys):
         ("scan", scan + "budget 0\n", "line 6: budget must be >= 1, got 0"),
         ("scan", scan.replace("0.2,1.0", "0.5,0.2"), "line 4: p-grid must be strictly increasing"),
         ("scan", scan.replace("0.2,1.0", "0.5,2"), "line 4: p values must lie in (0,1]"),
-        ("pipeline", pipe + "theta nan\n", "theta must lie in [0,1]"),
-        ("pipeline", pipe + "theta inf\n", "theta must lie in [0,1]"),
-        ("pipeline", pipe + "theta -1\n", "theta must lie in [0,1]"),
+        ("pipeline", pipe + "theta 0.1\n", "line 9: unknown key 'theta'"),
+        ("pipeline", pipe.replace("m 20", "m=20"), "line 3: unknown key 'm=20'"),
         # range errors of the library name their line too
         ("pipeline", pipe.replace("seed 11", "seed -1"), "line 8: seed must fit"),
         ("scan", scan.replace("seed 3", "seed -1"), "line 5: seed must fit"),
-        ("pipeline", pipe + "theta 2\n", "line 9: theta must lie in [0,1]"),
+        ("pipeline", pipe.replace("delta 2", "delta 0"), "line 1: delta must be >= 1, got 0"),
+        ("pipeline", pipe.replace("r 3", "r 4"), "line 4: r = 4 must be a multiple of delta+1"),
     ]:
         cfg = write("bad.cfg", text)
         assert main([command, "--config", cfg]) == 2, (command, text)
@@ -456,3 +481,55 @@ def test_cli_fuzz_exit_codes(case):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (0, 2, 3, 4), argv
+
+
+# -- fuzz: a pipeline config with a bad line is refused at that line --
+
+# per key: values the config may hold, and values it refuses whatever the other lines say
+PIPELINE_VALUES = {
+    "delta": (num(1, 3), st.sampled_from(["0", "-1", "1.5", "x", ""])),
+    "d": (st.sampled_from(["0.5", "0.3", "0.25"]),
+          st.sampled_from(["0", "-0.1", "0.6", "nan", "inf", "x"])),
+    "m": (num(20, 60), st.sampled_from(["19", "0", "-20", "20.0", "2o"])),
+    "r": (num(1, 12), st.sampled_from(["0", "-3", "3.0", "x"])),
+    "mu": (st.sampled_from(["0.25", "0.1", "0.5"]),
+           st.sampled_from(["0", "1", "-0.5", "nan", "inf", "x"])),
+    "C": (num(1, 8), st.sampled_from(["0", "-2", "1.5", "x"])),
+    "trials": (num(1, 30), st.sampled_from(["0", "-3", "2.5", "x"])),
+    "seed": (num(0, 30), st.sampled_from(["-1", str(1 << 64), "0x1", "x"])),
+}
+
+
+@st.composite
+def bad_pipeline_config(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(PIPELINE_VALUES)), unique=True))
+    lines = [f"{key} {draw(PIPELINE_VALUES[key][0])}" for key in keys]
+    key = draw(st.sampled_from(sorted(PIPELINE_VALUES)))
+    bad = draw(st.sampled_from(["value", "unknown", "repeat", "equals"]))
+    if bad == "value":
+        lines = [line for line in lines if line.split(" ")[0] != key]
+        lines.append(f"{key} {draw(PIPELINE_VALUES[key][1])}")
+    elif bad == "unknown":
+        lines.append(draw(st.sampled_from(["theta 0.1", "gamma 0.1", "M 20", "trails 3"])))
+    elif bad == "repeat":
+        lines += [f"{key} {draw(PIPELINE_VALUES[key][0])}"] * 2
+    else:
+        lines = [line for line in lines if line.split(" ")[0] != key]
+        lines.append(f"{key}={draw(PIPELINE_VALUES[key][0])}")
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=300)
+@given(bad_pipeline_config())
+def test_cli_fuzz_bad_pipeline_config_names_its_line(text):
+    # refused while the config is read: no host is generated
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pipe.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with mock.patch.object(cli, "generate_regular_host", side_effect=AssertionError), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["pipeline", "--config", path])
+    assert code == 2, text
+    assert re.search(r"line \d+:", err.getvalue()), (text, err.getvalue())

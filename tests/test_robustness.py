@@ -11,7 +11,7 @@ import pytest
 from conftest import random_graph
 from spanembed import robustness
 from spanembed.density import max_one_density
-from spanembed.errors import InvalidArgumentError
+from spanembed.errors import InternalInvariantError, InvalidArgumentError
 from spanembed.graphs import (
     Graph,
     blow_up,
@@ -22,13 +22,18 @@ from spanembed.graphs import (
     path_graph,
 )
 from spanembed.robustness import (
+    NO,
+    TIMEOUT,
+    YES,
     _cliques_from,
     _greedy_matching,
+    ContainVerdict,
     ThresholdScan,
     clique_factor_pattern,
     contains_spanning,
     dirac_overlap_host,
     mixture_pattern,
+    nested_gp,
     perfect_matching_pattern,
     random_min_degree_host,
     sample_gp,
@@ -53,6 +58,14 @@ def test_sample_gp_endpoints():
     assert sample_gp(g, 0.0, 5).num_edges() == 0
     with pytest.raises(InvalidArgumentError):
         sample_gp(g, 1.5, 0)
+
+
+def test_nested_gp_is_sample_gp_at_every_grid_point():
+    host, grid, seed = random_graph(10, 0.6, 1), (0.0, 0.25, 0.5, 0.75, 1.0), 7
+    gps = list(nested_gp(host.n, host.sorted_edges(), grid, seed))
+    assert gps == [sample_gp(host, p, seed) for p in grid]
+    assert all(a.edges <= b.edges for a, b in zip(gps, gps[1:]))
+    assert gps[0].num_edges() == 0 and gps[-1] == host
 
 
 def test_sample_gp_mean_edges():
@@ -223,6 +236,26 @@ def test_threshold_scan_decides_sample_gp(monkeypatch):
                         lambda gp, *args: decided.append(gp) or real(gp, *args))
     threshold_scan(ThresholdScan(host, perfect_matching_pattern(12), grid, trials=6, seed=seed))
     assert decided == [sample_gp(host, p, child_seed(seed, t)) for t in range(6) for p in grid]
+
+
+@pytest.mark.parametrize("kinds, rows", [
+    ((YES, NO), None),
+    ((YES, TIMEOUT, NO), None),
+    ((YES, TIMEOUT), [(1, 0), (0, 1)]),
+])
+def test_threshold_scan_refuses_a_coupled_decrease(monkeypatch, kinds, rows):
+    # a yes followed by a no on the nested G(p) of one trial is a bug; a
+    # timeout in between or after decides nothing
+    verdicts = iter(kinds)
+    monkeypatch.setattr(robustness, "contains_spanning",
+                        lambda *args: ContainVerdict(next(verdicts)))
+    scan = ThresholdScan(complete_graph(6), perfect_matching_pattern(6),
+                         (0.2, 0.5, 1.0)[:len(kinds)], trials=1, seed=3)
+    if rows is None:
+        with pytest.raises(InternalInvariantError, match="coupled monotonicity"):
+            threshold_scan(scan)
+    else:
+        assert [(r.successes, r.timeouts) for r in threshold_scan(scan)] == rows
 
 
 def test_threshold_scan_replays_matching_rows(monkeypatch):

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from spanembed.errors import InvalidArgumentError
-from spanembed.seeds import SEED_MASK, block_integers, child_seed, count_trials, np_rng
+from spanembed.seeds import (
+    SEED_MASK,
+    block_integers,
+    child_seed,
+    count_trials,
+    np_rng,
+    trial_draws,
+)
 
 
 def draw(seed):
@@ -52,6 +59,15 @@ def test_count_trials_seeds_and_failures():
     assert count_trials(record, [], 0, 40) == (0, [])
     with pytest.raises(InvalidArgumentError):
         count_trials(record, [], 1, -1)
+
+
+def test_trial_draws_run_in_trial_order_on_demand():
+    seen = []
+    runs = trial_draws(lambda seed: seen.append(seed) or -seed, 5, 40)
+    assert seen == []                     # a trial draws when it is read
+    assert next(runs) == -40 and seen == [40]
+    assert list(runs) == [-(40 ^ i) for i in range(1, 5)]
+    assert seen == [child_seed(40, i) for i in range(5)]
 
 
 # bound sequences: k = 1 takes no word; 3 * 2^30 rejects about a quarter of

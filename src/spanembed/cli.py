@@ -210,7 +210,7 @@ def _run_matching_event(inst, c, spec, trials, seed) -> SpreadEstimate:
     if spec == "hall-fail":
         _, (hits,) = count_trials(
             lambda trial_seed: sample_coupled(inst, c, trial_seed).z_mat,
-            [lambda z: canonical_matching(inst.lam, z)[0] < inst.lam], trials, seed)
+            [lambda z: canonical_matching(z)[0] < inst.lam], trials, seed)
         return SpreadEstimate("hall-fail", trials, hits)
     if spec.startswith("contains:"):
         edges = []

@@ -59,7 +59,7 @@ def max_one_density(h: Graph) -> tuple[Fraction, tuple[int, ...]]:
     for comp in h.connected_components():
         if len(comp) < 2:
             continue
-        sub = h.induced(comp)
+        sub = h if len(comp) == h.n else h.induced(comp)   # a spanning comp is h itself
         path = _component_m1_exhaustive if len(comp) <= EXHAUSTIVE_LIMIT else _component_m1_flow
         num, den, mask = path(sub)
         if num * best_den > best_num * den:

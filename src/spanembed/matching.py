@@ -10,6 +10,11 @@ alternating paths from unmatched A-vertices; that set is the same for
 every maximum matching (Dulmage-Mendelsohn), so it does not depend on
 which maximum matching the matcher finds.
 
+The bipartite matcher refills one CSR skeleton per matrix shape rather
+than building a ``csr_array`` per call, whose constructor checks cost
+more than the matching; the indices come from row-major ``np.nonzero``,
+which leaves those checks nothing to catch.
+
 The general-graph matcher is Edmonds' cardinality blossom algorithm
 ("Paths, trees, and flowers", 1965) on neighbour bitmasks, grown from a
 warm-start matching; containment of matching patterns uses it.
@@ -28,6 +33,7 @@ from .errors import InternalInvariantError, InvalidArgumentError, UnsupportedSiz
 from .graphs import bits
 
 UNMATCHED = -1
+_SKELETONS: dict[tuple[int, int], csr_array] = {}    # one CSR matrix per shape, refilled per call
 
 
 def bipartite_matching(z: np.ndarray) -> np.ndarray:
@@ -35,14 +41,23 @@ def bipartite_matching(z: np.ndarray) -> np.ndarray:
 
     Unmatched rows hold UNMATCHED.  The CSR structure is read off
     ``np.nonzero`` directly, with the int32 indices scipy would convert
-    to; converting the dense matrix costs more than the matching itself.
+    to, and written into a ``csr_array`` kept for the matrix's shape:
+    building a fresh one costs more than the matching itself, for its
+    constructor checks the indices.  They need no check: row-major
+    ``np.nonzero`` yields each row's columns in ascending order, in
+    range and without duplicates, and the row starts are a search of
+    its sorted rows.  The skeleton is shared, so concurrent calls from
+    threads are not supported.
     """
     if z.size > np.iinfo(np.int32).max:
         raise UnsupportedSizeError(f"a {z.shape[0]} x {z.shape[1]} matrix overflows int32 indices")
-    cols = np.nonzero(z)[1].astype(np.int32)
-    indptr = np.zeros(z.shape[0] + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(z, axis=1), out=indptr[1:])
-    graph = csr_array((np.ones(len(cols), dtype=bool), cols, indptr), shape=z.shape)
+    rows, cols = np.nonzero(z)
+    graph = _SKELETONS.get(z.shape)
+    if graph is None:
+        graph = _SKELETONS[z.shape] = csr_array(z.shape, dtype=bool)
+    graph.indices = cols.astype(np.int32)
+    graph.indptr = rows.searchsorted(np.arange(z.shape[0] + 1)).astype(np.int32)
+    graph.data = np.ones(len(cols), dtype=bool)
     return maximum_bipartite_matching(graph, perm_type="column")
 
 

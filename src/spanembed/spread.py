@@ -15,8 +15,13 @@ perfect matchings comes out and the vertex spread stays flat.
 F, Z1 and Z2 are lam x lam boolean matrices, row a and column b
 standing for the edge (a, b).  Row-major order of the nonzero entries
 is sorted edge order, and each row (column) lists a vertex's
-neighbours in ascending order, so the sampler draws on the matrix
-directly; the edge set is a view derived from it on first use, for
+neighbours in ascending order.  Each instance reads these orders off
+its matrix once, into a draw plan: the entries in row-major and in
+column-major order, and every vertex's neighbour-list start and
+degree, A-side then B-side.  A draw then takes one ``random`` call for
+Z1 and one ``integers`` call, with one bound per neighbour draw, for
+Z2; this yields the same documented stream as one call per vertex.
+The edge set is a view derived from the matrix on first use, for
 callers that read edges.
 
 The FB1-FB3 parameter record bounds degrees and expansion of F:
@@ -35,7 +40,7 @@ matrix product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -76,15 +81,46 @@ def _edge_set(mat: np.ndarray) -> frozenset[BipEdge]:
     return frozenset(zip(rows.tolist(), cols.tolist()))
 
 
+class _DrawPlan(NamedTuple):
+    """F's entries as the coupled sampler reads them, computed once per instance.
+
+    ``rows`` and ``cols`` hold the m entries (a, b) in row-major order,
+    then the same entries in column-major order.  ``starts`` and
+    ``degs`` locate the neighbour list of every non-isolated A-vertex,
+    vertices in ascending order, as a start offset into the first half
+    and a degree; then those of every non-isolated B-vertex, as offsets
+    into the second half.
+    """
+
+    m: int
+    rows: np.ndarray
+    cols: np.ndarray
+    starts: np.ndarray
+    degs: np.ndarray
+
+
+def _draw_plan(mat: np.ndarray) -> _DrawPlan:
+    rows, cols = np.nonzero(mat)        # row-major: sorted edge order
+    t_cols, t_rows = np.nonzero(mat.T)  # column-major
+    lam = len(mat)
+    deg = np.concatenate([np.bincount(rows, minlength=lam), np.bincount(t_cols, minlength=lam)])
+    start = np.cumsum(deg) - deg
+    has = deg > 0
+    return _DrawPlan(len(rows), np.concatenate([rows, t_rows]), np.concatenate([cols, t_cols]),
+                     start[has], deg[has])
+
+
 class FBInstance:
     """Balanced bipartite candidate graph with its FB parameter record.
 
     ``edges`` is either an iterable of (a, b) pairs or a lam x lam
     boolean matrix, which is kept as ``mat`` without a copy.  The edge
-    set ``edges`` is computed from ``mat`` once, on first use.
+    set ``edges`` and the coupled sampler's draw plan are computed from
+    ``mat`` once, on first use, so ``mat`` must not be mutated after
+    construction.
     """
 
-    __slots__ = ("lam", "mat", "params", "_edges")
+    __slots__ = ("lam", "mat", "params", "_edges", "_plan")
 
     def __init__(self, lam: int, edges: Iterable[BipEdge] | np.ndarray, params: FBParams):
         if lam < 0:
@@ -104,6 +140,7 @@ class FBInstance:
         self.mat = mat
         self.params = params
         self._edges = None
+        self._plan = None
 
     @property
     def edges(self) -> frozenset[BipEdge]:
@@ -202,22 +239,6 @@ class CoupledSample:
         return _edge_set(self.z_mat)
 
 
-def _neighbour_draws(rows: np.ndarray, cols: np.ndarray, lam: int, c: int,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """C uniform neighbour draws per non-isolated row, rows in ascending order.
-
-    ``rows`` and ``cols`` are the nonzero entries in row-major order;
-    returns the drawn entries as (row, column) arrays.  One ``integers``
-    call with one bound per draw yields the same stream as one call of
-    size C per row.
-    """
-    deg = np.bincount(rows, minlength=lam)
-    start = np.cumsum(deg) - deg
-    has = deg > 0
-    picks = np.repeat(start[has], c) + rng.integers(0, np.repeat(deg[has], c))
-    return rows[picks], cols[picks]
-
-
 def sample_coupled(f: FBInstance, c: int, seed: int) -> CoupledSample:
     """One draw of Z1 (binomial, prob C/lam) and Z2 (C neighbour draws each).
 
@@ -236,17 +257,18 @@ def sample_coupled(f: FBInstance, c: int, seed: int) -> CoupledSample:
     if c > f.lam:
         raise InvalidArgumentError(f"C = {c} exceeds lam = {f.lam}; edge probability would exceed 1")
     rng = np_rng(seed)
-    mat = f.mat
-    rows, cols = np.nonzero(mat)    # row-major: sorted edge order
-    keep = rng.random(len(rows)) < c / f.lam
-    z1 = np.zeros_like(mat)
-    z1[rows[keep], cols[keep]] = True
-
-    z2 = np.zeros_like(mat)
-    a, b = _neighbour_draws(rows, cols, f.lam, c, rng)
-    z2[a, b] = True
-    b, a = _neighbour_draws(*np.nonzero(mat.T), f.lam, c, rng)
-    z2[a, b] = True
+    plan = f._plan
+    if plan is None:
+        plan = f._plan = _draw_plan(f.mat)
+    keep = np.flatnonzero(rng.random(plan.m) < c / f.lam)
+    z1 = np.zeros(f.mat.shape, dtype=bool)
+    z1[plan.rows[keep], plan.cols[keep]] = True
+    # one bound per draw, A-side then B-side: bounded draws keep their 32-bit
+    # buffer in the bit generator, so one call yields the stream of one call
+    # of size C per vertex
+    picks = np.repeat(plan.starts, c) + rng.integers(0, np.repeat(plan.degs, c))
+    z2 = np.zeros(f.mat.shape, dtype=bool)
+    z2[plan.rows[picks], plan.cols[picks]] = True
     return CoupledSample(z1, z2)
 
 
@@ -282,7 +304,7 @@ class MatchingDraw:
     hall_witness: tuple[int, ...] | None = None
 
 
-def canonical_matching(lam: int, z: np.ndarray) -> tuple[int, frozenset[BipEdge]]:
+def canonical_matching(z: np.ndarray) -> tuple[int, frozenset[BipEdge]]:
     """Deterministic maximum matching of a lam x lam boolean matrix: ``bipartite_matching`` of it."""
     mate = bipartite_matching(z).tolist()
     m = frozenset((a, b) for a, b in enumerate(mate) if b != UNMATCHED)
@@ -314,7 +336,7 @@ def sample_spread_matching(f: FBInstance, c: int, max_resamples: int, seed: int)
         draws += 1
         keys = np.frombuffer(rng.randbytes(16 * lam), dtype="<u8").reshape(2, lam)
         pa, pb = np.argsort(keys, kind="stable")
-        size, matching = canonical_matching(lam, z[pa][:, pb])
+        size, matching = canonical_matching(z[pa][:, pb])
         if size == lam:
             pa, pb = pa.tolist(), pb.tolist()
             return MatchingDraw(True, frozenset((pa[i], pb[j]) for i, j in matching), draws)

@@ -228,7 +228,7 @@ def test_criterion_5_spread_matching():
         successes = 0
         for i in range(trials):
             sample = sample_coupled(f, c, seed=i)
-            size, _ = canonical_matching(lam, sample.z_mat)
+            size, _ = canonical_matching(sample.z_mat)
             if size < lam:
                 hall_fails += 1
             for e in sample.z:

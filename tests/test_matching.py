@@ -6,6 +6,8 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from conftest import random_bipartite_adj, random_graph
 from spanembed.errors import InvalidArgumentError, UnsupportedSizeError
@@ -116,8 +118,24 @@ def test_bipartite_matching_size_equals_networkx_oracle():
         assert len({mate[u] for u in matched}) == len(matched)
 
 
+def test_bipartite_matching_reused_skeleton_equals_a_fresh_matrix():
+    # shapes interleave, so each shape's CSR skeleton is refilled at
+    # different nnz, from all-zero matrices and empty rows up to dense ones
+    shapes = [(6, 6), (9, 4), (4, 9), (0, 5), (5, 0), (1, 1), (12, 12), (6, 6), (0, 0)]
+    rng = np.random.default_rng(19)
+    for i in range(300):
+        shape = shapes[i % len(shapes)]
+        p = (0.0, 0.05, 0.2, 0.5, 1.0)[i % 5]
+        z = rng.random(shape) < p
+        if i % 7 == 0 and shape[0] > 1:
+            z[rng.integers(shape[0])] = False
+        fresh = maximum_bipartite_matching(csr_array(z), perm_type="column")
+        assert np.array_equal(bipartite_matching(z), fresh), (i, shape)
+
+
 def test_bipartite_matching_refuses_int32_overflow():
-    # a read-only broadcast view: 2.5e9 entries without the memory behind them
+    # a read-only broadcast view: 2.5e9 entries without the memory behind them;
+    # the refusal comes before any CSR skeleton is touched
     z = np.broadcast_to(np.zeros(1, dtype=bool), (50_000, 50_000))
     with pytest.raises(UnsupportedSizeError, match="int32"):
         bipartite_matching(z)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 
@@ -116,6 +117,29 @@ def test_coupled_sample_stream_matches_per_vertex_loop():
             for seed in range(30):
                 s = sample_coupled(f, c, seed)
                 assert (s.z1, s.z2) == coupled_oracle(f, c, seed), (lam, c, seed)
+
+
+def test_spread_draws_replay():
+    # sha256 of 400 seeded spread-matching draws and 12 coupled samples,
+    # recorded with two neighbour-draw calls per sample and a fresh CSR
+    # matrix per match.  The C = 1 slice resamples and fails with Hall
+    # witnesses; the coupled samples include isolated vertices on both sides.
+    records = []
+    for lam, c in ((10, 8), (20, 10), (40, 10), (40, 1)):
+        f = random_instance(lam, 0.8, seed=lam)
+        for seed in range(100):
+            d = sample_spread_matching(f, c, max_resamples=4, seed=seed)
+            records.append([d.ok, sorted(d.matching) if d.ok else None, d.draws, d.hall_witness])
+    assert sum(not r[0] for r in records) == 61
+    assert sum(r[0] and r[2] > 1 for r in records) == 27
+    adj = random_bipartite_adj(12, 12, 0.4, seed=7)
+    f = FBInstance(12, [(a, b) for a in range(12) for b in adj[a]
+                        if a not in (0, 5) and b not in (3, 11)], PARAMS)
+    for c, seed in itertools.product((1, 3, 12), range(4)):
+        s = sample_coupled(f, c, seed)
+        records.append([sorted(s.z1), sorted(s.z2)])
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "614566b7cdf700d6bc0b8e797ee2396cd36105dd0c1a75363fbb3d61a36a6e62"
 
 
 def test_instance_matrix_and_edge_list_agree():

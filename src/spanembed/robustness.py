@@ -3,10 +3,14 @@
 G(p) keeps the host edges whose uniform lies below p.  ``nested_gp``
 draws it for a whole p-grid from one trial seed, so the kept edge sets
 are nested and containment is exactly monotone along the grid: a trial
-sorts its uniforms once, and each G(p) is a prefix of that edge order.
-``sample_gp`` is its one-point case.  Containment of a spanning pattern
-is decided exactly by a budgeted backtracking search, with two special
-cases:
+sorts its uniforms once, and each G(p) is a prefix of that edge order,
+built when the scan asks for that point.  ``sample_gp`` is its
+one-point case.  A threshold scan bisects each trial's grid for its
+first YES point and infers the verdicts on either side of it
+(Bollobás and Thomason 1987: containment is monotone along a coupled
+grid); monotonicity is checked on the verdicts a trial computes.
+Containment of a spanning pattern is decided exactly by a budgeted
+backtracking search, with two special cases:
 
 * matchings (maximum degree one) in polynomial time: H embeds iff Gp
   has a matching with as many edges as H.  A greedy matching in vertex
@@ -22,6 +26,9 @@ cases:
 
 The general search keeps candidate sets as bitmasks too: a pattern
 vertex of degree d starts from the host vertices of degree at least d.
+It keeps one embedding per orbit of the automorphisms that H's clique
+and cycle components make plain, by order constraints on their images
+(``_orbit_pairs``), so a NO is not proved once per symmetric copy.
 
 Timeouts are first-class results, never coerced to no.
 
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,30 +63,47 @@ from .tailbounds import hypergeo_chernoff_bound, wilson_interval
 
 DEFAULT_BUDGET = 10_000_000
 THM91_SUBSET_TRIALS = 2000   # half-size host subsets behind the tail check of scan_thm91_grid
+THM91_MAX_N = 25             # largest n of scan_thm91_grid; its docstring says why
 
 SCAN_COLUMNS = ("kind", "p", "trials", "successes", "timeouts",
                 "fraction", "wilson_lo", "wilson_hi", "flag")
 
 
 def nested_gp(n: int, edges: Sequence[tuple[int, int]], grid: Sequence[float],
-              seed: int) -> Iterator[Graph]:
-    """One trial's G(p) for each p of the ascending ``grid``, built lazily on ``n`` vertices.
+              seed: int) -> Sequence[Graph]:
+    """One trial's G(p) for each p of the ascending ``grid``, on ``n`` vertices.
 
     ``edges`` are the host edges in sorted order, one uniform each; G(p)
     is the prefix of them ranked by uniform that ``searchsorted`` counts.
+    The uniforms are drawn and sorted once; each grid point's graph is
+    built when it is indexed, in any order.
     """
     uniforms = np_rng(seed).random(len(edges))
     order = np.argsort(uniforms)
     ranked = [edges[i] for i in order.tolist()]
-    for cut in np.searchsorted(uniforms[order], grid).tolist():
-        yield Graph(n, ranked[:cut])
+    return _Prefixes(n, ranked, np.searchsorted(uniforms[order], grid).tolist())
+
+
+class _Prefixes(Sequence[Graph]):
+    """The graphs on ``n`` vertices whose edges are ``ranked[:cut]``, one per cut."""
+
+    __slots__ = ("n", "ranked", "cuts")
+
+    def __init__(self, n: int, ranked: list[tuple[int, int]], cuts: list[int]):
+        self.n, self.ranked, self.cuts = n, ranked, cuts
+
+    def __len__(self) -> int:
+        return len(self.cuts)
+
+    def __getitem__(self, i: int) -> Graph:
+        return Graph(self.n, self.ranked[:self.cuts[i]])
 
 
 def sample_gp(g: Graph, p: float, seed: int) -> Graph:
     """Spanning random subgraph keeping each edge independently with probability p."""
     if not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"p must lie in [0,1], got {p}")
-    return next(nested_gp(g.n, g.sorted_edges(), (p,), seed))
+    return nested_gp(g.n, g.sorted_edges(), (p,), seed)[0]
 
 
 # -- exact spanning containment ----------------------------------------
@@ -236,7 +260,12 @@ def _cliques_from(gp: Graph, v: int, r: int) -> list[tuple[int, ...]]:
 
 
 def _contains_backtracking(gp: Graph, h: Graph, budget: int) -> ContainVerdict:
-    """General spanning-embedding backtracking with candidate pruning."""
+    """General spanning-embedding backtracking with candidate and orbit pruning.
+
+    A pattern vertex takes the host vertices whose degree admits it,
+    adjacent to the images of its earlier neighbours and inside the
+    bounds that ``_orbit_pairs`` sets against earlier vertices.
+    """
     n = h.n
     order = sorted(range(n), key=lambda x: (-h.degree(x), x))
     pos = {x: i for i, x in enumerate(order)}
@@ -251,6 +280,14 @@ def _contains_backtracking(gp: Graph, h: Graph, budget: int) -> ContainVerdict:
     # host vertices whose degree admits x, one mask per distinct pattern degree
     deg_masks = {d: mask_of(v for v in range(gp.n) if gp_deg[v] >= d) for d in set(h_deg)}
     admits = [deg_masks[h_deg[x]] for x in range(n)]
+    # earlier vertices whose image must lie below (above) x's image
+    below: list[list[int]] = [[] for _ in range(n)]
+    above: list[list[int]] = [[] for _ in range(n)]
+    for a, b in _orbit_pairs(h):
+        if pos[a] < pos[b]:
+            below[b].append(a)
+        else:
+            above[a].append(b)
 
     def place(i: int) -> str:
         nonlocal nodes, used
@@ -263,6 +300,10 @@ def _contains_backtracking(gp: Graph, h: Graph, budget: int) -> ContainVerdict:
         cand = admits[x] & ~used
         for y in earlier[x]:
             cand &= gp.adj[phi[y]]
+        for y in below[x]:
+            cand &= -2 << phi[y]
+        for y in above[x]:
+            cand &= (1 << phi[y]) - 1
         while cand:
             low = cand & -cand
             cand ^= low
@@ -279,6 +320,39 @@ def _contains_backtracking(gp: Graph, h: Graph, budget: int) -> ContainVerdict:
     if res == YES:
         return ContainVerdict(YES, {x: phi[x] for x in range(n)}, nodes_used=nodes)
     return ContainVerdict(res, nodes_used=nodes)
+
+
+def _orbit_pairs(h: Graph) -> list[tuple[int, int]]:
+    """Pairs (a, b) that some embedding satisfies with phi(a) < phi(b) whenever one exists.
+
+    Lex-leader symmetry breaking (Crawford, Ginsberg, Luks and Roy
+    1996) on the automorphisms that H's components make plain: images
+    increase within each clique component (K1 and K2 included) and
+    across the least vertices of clique components of one size; a
+    cycle's first vertex takes its least image, and its second vertex's
+    image lies below its last vertex's.  Composing any embedding with
+    an automorphism of H that sorts those images gives an embedding
+    that meets every pair, so a search that keeps only such embeddings
+    stays exact.  Other components get no pairs.
+    """
+    pairs: list[tuple[int, int]] = []
+    leaders: dict[int, list[int]] = {}    # least vertex of each clique component, by size
+    for comp in h.connected_components():
+        size = len(comp)
+        if sum(h.degree(x) for x in comp) == size * (size - 1):
+            pairs += zip(comp, comp[1:])
+            leaders.setdefault(size, []).append(comp[0])
+        elif all(h.degree(x) == 2 for x in comp):
+            # a cycle on at least 4 vertices, walked from its least vertex
+            cycle = [comp[0], (h.adj[comp[0]] & -h.adj[comp[0]]).bit_length() - 1]
+            while len(cycle) < size:
+                step = h.adj[cycle[-1]] & ~(1 << cycle[-2])
+                cycle.append(step.bit_length() - 1)
+            pairs += [(cycle[0], y) for y in cycle[1:]]
+            pairs.append((cycle[1], cycle[-1]))
+    for firsts in leaders.values():
+        pairs += zip(firsts, firsts[1:])
+    return pairs
 
 
 # -- threshold scans -----------------------------------------------------
@@ -341,21 +415,39 @@ def threshold_scan(scan: ThresholdScan) -> list[ScanRow]:
     """Empirical containment probability per grid point, coupled across p.
 
     Each trial reuses its seed across the entire grid, so the sampled
-    edge sets are nested in p (``nested_gp``); containment is then
-    monotone and any decrease across a coupled pair is a hard error.
-    Timeouts beyond 20% of trials flag the row as unreliable.
+    edge sets are nested in p (``nested_gp``) and containment is
+    monotone along the grid.  A trial therefore bisects its grid for
+    its first YES point, in at most ceil(log2(k+1)) containment calls
+    for k points: the points below it are inferred NO and the points
+    from it on inferred YES.  A TIMEOUT stops the bisection, and the
+    points still between the last NO and the first YES are decided one
+    by one; a decrease among the verdicts a trial computes is a hard
+    error.  Timeouts beyond 20% of trials flag the row as unreliable.
     """
     edges = scan.host.sorted_edges()
 
     def verdict_kinds(trial_seed: int) -> list[str]:
-        kinds = []
-        for p, gp in zip(scan.p_grid, nested_gp(scan.host.n, edges, scan.p_grid, trial_seed)):
-            kind = contains_spanning(gp, scan.pattern, scan.budget).kind
-            if kind == NO and YES in kinds:
-                raise InternalInvariantError(
-                    f"coupled monotonicity violated at p={p} on the trial at seed {trial_seed}")
-            kinds.append(kind)
-        return kinds
+        gps = nested_gp(scan.host.n, edges, scan.p_grid, trial_seed)
+        kinds: list[str | None] = [None] * len(gps)
+        no, yes = -1, len(gps)    # the points up to `no` are NO, those from `yes` on YES
+        while yes - no > 1:
+            mid = (no + yes) // 2
+            kinds[mid] = contains_spanning(gps[mid], scan.pattern, scan.budget).kind
+            if kinds[mid] == TIMEOUT:
+                break
+            if kinds[mid] == YES:
+                yes = mid
+            else:
+                no = mid
+        seen_yes = False
+        for i in range(no + 1, yes):
+            if kinds[i] is None:
+                kinds[i] = contains_spanning(gps[i], scan.pattern, scan.budget).kind
+            if kinds[i] == NO and seen_yes:
+                raise InternalInvariantError(f"coupled monotonicity violated at "
+                                             f"p={scan.p_grid[i]} on the trial at seed {trial_seed}")
+            seen_yes |= kinds[i] == YES
+        return [NO] * (no + 1) + kinds[no + 1:yes] + [YES] * (len(gps) - yes)
 
     rows = []
     for p, kinds in zip(scan.p_grid, zip(*trial_draws(verdict_kinds, scan.trials, scan.seed))):
@@ -375,14 +467,22 @@ def scan_thm91_grid(delta: int, n: int, gamma: float, seed: int,
     Also samples THM91_SUBSET_TRIALS random half-size vertex subsets of
     the host and reports the frequency of degree-deficient vertices
     against the hypergeometric tail bound.
+
+    ``n`` is capped at THM91_MAX_N = 25, the largest n at which scans of
+    200 trials on the default budget ran with no timeout at seeds 0,
+    2^32 and 2^33 (1.0-1.5 s a call at n = 25 and 13-17 s at n = 23, the
+    slowest n up to the cap; 2-core VM, Python 3.11.7); n = 26 timed
+    out at two of those seeds.  At gamma = 0.2 the clamp of the degree
+    hypothesis to n - 1 makes the host K_n for every n <= 39, so every
+    scan up to the cap runs on the complete host.
     """
     if not 0 < gamma < 2:
         raise InvalidArgumentError(f"gamma must lie in (0,2), so that eps = gamma/2 lies "
                                    f"in (0,1), got {gamma}")
     if delta != 2:
         raise InvalidArgumentError("exact factor scanning is desk-sized only for delta = 2")
-    if n > 16:
-        raise InvalidArgumentError(f"exact factor testing needs n <= 16, got {n}")
+    if n > THM91_MAX_N:
+        raise InvalidArgumentError(f"exact factor testing needs n <= {THM91_MAX_N}, got {n}")
     pattern = mixture_pattern(n, delta)
     # at desk sizes the degree hypothesis can exceed n-1; clamp to the
     # complete graph and let the grids still probe the p-shape

@@ -224,6 +224,19 @@ def test_scan_thm91_subcommand(capsys):
     assert "bad-vertex" in out
 
 
+def test_scan_thm91_size_cap(capsys, monkeypatch):
+    # the largest n measured timeout-free runs; one more is refused before any scan
+    cap = robustness.THM91_MAX_N
+    assert main(["scan-thm91", "--n", str(cap), "--trials", "1"]) == 0
+    assert "bad-vertex" in capsys.readouterr().out
+    scans = []
+    monkeypatch.setattr(robustness, "threshold_scan", lambda scan: scans.append(scan) or [])
+    assert main(["scan-thm91", "--n", str(cap + 1), "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert f"n <= {cap}" in captured.err and captured.out == ""
+    assert scans == []
+
+
 def test_scan_thm91_bad_gamma_is_exit_2(capsys, monkeypatch):
     # eps = gamma/2 must lie in (0,1): a bad gamma is refused before any scan runs
     scans = []

@@ -22,6 +22,7 @@ from spanembed.graphs import (
     path_graph,
 )
 from spanembed.robustness import (
+    DEFAULT_BUDGET,
     NO,
     TIMEOUT,
     YES,
@@ -168,12 +169,14 @@ def _search_samples():
 
 
 def test_containment_searches_replay():
-    # every verdict, embedding and node count of the exact-cover and general
-    # searches, pinned by digest: a change to the order in which cliques or
-    # candidates are tried moves nodes_used
+    # every verdict, embedding and node count of the exact-cover search on the
+    # triangle- and K4-factor samples, pinned by digest: a change to the order
+    # in which cliques are tried moves nodes_used
     verdicts = []
     kinds = Counter()
     for name, gp, h in _search_samples():
+        if name == "mix":
+            continue
         got = contains_spanning(gp, h, budget=3000)
         if got.yes:
             assert is_valid_embedding(h, gp, got.embedding)
@@ -181,10 +184,61 @@ def test_containment_searches_replay():
         embedding = sorted(got.embedding.items()) if got.yes else None
         verdicts.append([got.kind, embedding, got.nodes_used])
     assert kinds == {("tri", "yes"): 36, ("tri", "no"): 7, ("tri", "timeout"): 7,
-                     ("k4", "yes"): 17, ("k4", "no"): 6, ("k4", "timeout"): 1,
-                     ("mix", "yes"): 35, ("mix", "no"): 3, ("mix", "timeout"): 10}
+                     ("k4", "yes"): 17, ("k4", "no"): 6, ("k4", "timeout"): 1}
     digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
-    assert digest == "b3a26eb55498fabfe5fb3f7302cd16c6b3bef601337968cd293eb0e18baea0df"
+    assert digest == "88bb0a78bf9f82895183e28c0e09c37c35c48921c2b4725cdb22ea4c53d01b1d"
+
+
+# first letters of the verdicts on the mixture samples at the default budget,
+# recorded with the general search before it broke symmetries (no timeouts)
+MIX_FULL_BUDGET_KINDS = "nyyynyyynyyynyyynyyyynyyyyyynyyyyyyynyyyyyyyyyyy"
+
+
+def test_general_search_keeps_the_full_budget_verdicts():
+    # at budget 3000 the search decides all but two mixture samples, each
+    # as the unpruned search decides it at the default budget
+    kinds = Counter()
+    mixes = [(gp, h) for name, gp, h in _search_samples() if name == "mix"]
+    for (gp, h), want in zip(mixes, MIX_FULL_BUDGET_KINDS, strict=True):
+        got = contains_spanning(gp, h, budget=3000)
+        kinds[got.kind] += 1
+        if got.kind != TIMEOUT:
+            assert got.kind[0] == want
+        if got.yes:
+            assert is_valid_embedding(h, gp, got.embedding)
+    assert kinds == {YES: 39, NO: 7, TIMEOUT: 2}
+
+
+def test_orbit_pruned_search_equals_networkx_monomorphism():
+    # disjoint unions of cliques, cycles and paths under a random labelling, so
+    # components of one shape repeat and interleave; networkx is the oracle
+    shapes = ([complete_graph(r) for r in (1, 2, 3, 4)]
+              + [cycle_graph(k) for k in (4, 5, 6)] + [path_graph(3)])
+    kinds = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        parts, size = [], rng.randint(4, 10)
+        while sum(g.n for g in parts) < size:
+            parts.append(rng.choice([g for g in shapes
+                                     if g.n + sum(p.n for p in parts) <= 10]))
+        h = disjoint_union(*parts)
+        label = rng.sample(range(h.n), h.n)
+        h = Graph(h.n, [(label[u], label[v]) for u, v in h.edges])
+        gp = random_graph(h.n, rng.uniform(0.3, 0.8), seed)
+        got = robustness._contains_backtracking(gp, h, robustness.DEFAULT_BUDGET)
+        kinds[got.kind] += 1
+        want = nx.algorithms.isomorphism.GraphMatcher(_nx(gp), _nx(h)).subgraph_is_monomorphic()
+        assert got.yes == want, seed
+        if got.yes:
+            assert is_valid_embedding(h, gp, got.embedding)
+    assert kinds[YES] >= 100 and kinds[NO] >= 100, kinds
+
+
+def _nx(g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges)
+    return out
 
 
 def test_cliques_from_lists_cliques_by_least_vertex():
@@ -228,34 +282,116 @@ def test_threshold_scan_rows_and_monotone_coupling():
 
 
 def test_threshold_scan_decides_sample_gp(monkeypatch):
-    # the coupled G(p) of trial t is the documented one: sample_gp at child_seed(seed, t)
+    # each G(p) the scan decides is the documented one: sample_gp at child_seed(seed, t)
+    # for a point p of the grid
     host, grid, seed = random_graph(12, 0.5, 3), (0.1, 0.3, 0.5, 0.8, 1.0), 2 ** 40 + 9
     decided = []
     real = robustness.contains_spanning
     monkeypatch.setattr(robustness, "contains_spanning",
                         lambda gp, *args: decided.append(gp) or real(gp, *args))
     threshold_scan(ThresholdScan(host, perfect_matching_pattern(12), grid, trials=6, seed=seed))
-    assert decided == [sample_gp(host, p, child_seed(seed, t)) for t in range(6) for p in grid]
+    points = {sample_gp(host, p, child_seed(seed, t)) for t in range(6) for p in grid}
+    assert decided and all(gp in points for gp in decided)
+
+
+def _keyed_by_point(monkeypatch, scan, kinds):
+    """Make each G(p) of trial 0 of ``scan`` return the verdict kind listed for its point."""
+    points = [sample_gp(scan.host, p, child_seed(scan.seed, 0)) for p in scan.p_grid]
+    assert len(set(points)) == len(points)
+    monkeypatch.setattr(robustness, "contains_spanning",
+                        lambda gp, *args: ContainVerdict(kinds[points.index(gp)]))
 
 
 @pytest.mark.parametrize("kinds, rows", [
-    ((YES, NO), None),
     ((YES, TIMEOUT, NO), None),
-    ((YES, TIMEOUT), [(1, 0), (0, 1)]),
+    ((NO, TIMEOUT, YES, NO), None),
+    ((YES, TIMEOUT), [(1, 0), (1, 0)]),
+    ((TIMEOUT, YES, NO), [(0, 1), (1, 0), (1, 0)]),
+    ((NO, TIMEOUT, TIMEOUT, YES), [(0, 0), (0, 1), (0, 1), (1, 0)]),
 ])
 def test_threshold_scan_refuses_a_coupled_decrease(monkeypatch, kinds, rows):
-    # a yes followed by a no on the nested G(p) of one trial is a bug; a
-    # timeout in between or after decides nothing
-    verdicts = iter(kinds)
-    monkeypatch.setattr(robustness, "contains_spanning",
-                        lambda *args: ContainVerdict(next(verdicts)))
-    scan = ThresholdScan(complete_graph(6), perfect_matching_pattern(6),
-                         (0.2, 0.5, 1.0)[:len(kinds)], trials=1, seed=3)
+    # a yes below a no among the verdicts a trial computes is a bug; a point the
+    # bisection never decides is inferred from the nearest decided points, and
+    # after a timeout the points between the last no and the first yes are decided
+    scan = ThresholdScan(complete_graph(8), perfect_matching_pattern(8),
+                         (0.2, 0.4, 0.6, 1.0)[-len(kinds):], trials=1, seed=3)
+    _keyed_by_point(monkeypatch, scan, kinds)
     if rows is None:
         with pytest.raises(InternalInvariantError, match="coupled monotonicity"):
             threshold_scan(scan)
     else:
         assert [(r.successes, r.timeouts) for r in threshold_scan(scan)] == rows
+
+
+def _reference_scans():
+    """Seeded scans in each containment case, with and without timeouts."""
+    grid = (0.15, 0.3, 0.45, 0.6, 0.75, 1.0)
+    for seed in (1, 7 << 32):
+        yield "matching", ThresholdScan(dirac_overlap_host(16), perfect_matching_pattern(16),
+                                        grid, 12, seed)
+        tri_host, mix_host = random_min_degree_host(15, 10, seed), random_min_degree_host(13, 9, seed)
+        for budget in (DEFAULT_BUDGET, 30):
+            yield "triangle factor", ThresholdScan(tri_host, clique_factor_pattern(15, 3),
+                                                   grid, 12, seed, budget)
+        for budget in (DEFAULT_BUDGET, 60):
+            yield "mixture", ThresholdScan(mix_host, mixture_pattern(13, 2), grid, 12, seed, budget)
+
+
+def test_threshold_scan_agrees_with_every_point_decided(monkeypatch):
+    # the reference decides every grid point of every trial; the bisecting scan
+    # must compute the same verdict wherever it computes one, and differ from
+    # the reference only where the reference timed out
+    decided = {}    # id of a decided G(p) -> verdict kind
+    computed = []   # (trial seed, grid index, G(p)) for each graph the scan builds
+    real_gp, real_contains = robustness.nested_gp, robustness.contains_spanning
+
+    class Recorded:
+        def __init__(self, n, edges, grid, seed):
+            self.gps, self.seed = real_gp(n, edges, grid, seed), seed
+
+        def __len__(self):
+            return len(self.gps)
+
+        def __getitem__(self, i):
+            gp = self.gps[i]
+            computed.append((self.seed, i, gp))
+            return gp
+
+    def contains(gp, *args):
+        verdict = real_contains(gp, *args)
+        decided[id(gp)] = verdict.kind
+        return verdict
+
+    monkeypatch.setattr(robustness, "nested_gp", Recorded)
+    monkeypatch.setattr(robustness, "contains_spanning", contains)
+    cases = Counter()
+    for case, scan in _reference_scans():
+        computed.clear()
+        decided.clear()
+        rows = threshold_scan(scan)
+        k = len(scan.p_grid)
+        reference = []
+        for t in range(scan.trials):
+            trial_seed = child_seed(scan.seed, t)
+            gps = real_gp(scan.host.n, scan.host.sorted_edges(), scan.p_grid, trial_seed)
+            want = [real_contains(gp, scan.pattern, scan.budget).kind for gp in gps]
+            reference.append(want)
+            mine = [(i, decided[id(gp)]) for s, i, gp in computed if s == trial_seed]
+            assert len({i for i, _ in mine}) == len(mine)
+            assert all(kind == want[i] for i, kind in mine)
+            if TIMEOUT not in want:
+                assert len(mine) <= math.ceil(math.log2(k + 1))
+        ref_rows = [(col.count(YES), col.count(NO), col.count(TIMEOUT)) for col in zip(*reference)]
+        got_rows = [(r.successes, r.trials - r.successes - r.timeouts, r.timeouts) for r in rows]
+        timeout_free = all(TIMEOUT not in want for want in reference)
+        if timeout_free:
+            assert got_rows == ref_rows
+        else:
+            assert all(y >= ry and no >= rno and to <= rto
+                       for (y, no, to), (ry, rno, rto) in zip(got_rows, ref_rows))
+        cases[case, timeout_free] += 1
+    assert set(cases) >= {("matching", True), ("triangle factor", True), ("mixture", True),
+                          ("triangle factor", False), ("mixture", False)}
 
 
 def test_threshold_scan_replays_matching_rows(monkeypatch):

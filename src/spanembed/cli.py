@@ -287,7 +287,7 @@ _PATTERNS = {
 
 def cmd_scan(args) -> int:
     conf = parse_config(args.config, SCAN_KEYS)
-    n = config_value(conf, "n", int, 20)
+    n = config_value(conf, "n", lambda v: check_count("n", int(v)), 20)
     seed = config_value(conf, "seed", lambda v: check_seed(int(v)), 0)
     host_name = config_value(conf, "host", str, "complete")
     if host_name in _HOSTS:

@@ -13,10 +13,11 @@ Text format, shared by every module and the CLI::
     2 5
 
 First line ``n <count>``, then one ``u v`` pair per line, 0-based,
-whitespace-separated.  Writers emit edges sorted with u < v.  Every
-text reader of the toolkit goes through ``records``: ``#`` starts a
-comment that runs to the end of the line, blank lines are skipped, and
-a malformed line is reported with its number.
+whitespace-separated, each edge once in either orientation.  Writers
+emit edges sorted with u < v.  Every text reader of the toolkit goes
+through ``records``: ``#`` starts a comment that runs to the end of the
+line, blank lines are skipped, and a malformed line is reported with
+its number.
 """
 
 from __future__ import annotations
@@ -291,12 +292,19 @@ def int_pairs(text: str, header: str | None = None) -> tuple[int, list[tuple[int
 
 
 def parse_graph(text: str) -> Graph:
+    """The graph of ``text``; a loop, an edge outside [0,n) or a repeated edge names its line."""
     n, pairs = int_pairs(text, "n")
+    line_of: dict[Edge, int] = {}
     for lineno, u, v in pairs:
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise InvalidArgumentError(f"line {lineno}: edge ({u},{v}) is a loop or leaves "
                                        f"[0,{n})")
-    return Graph(n, [(u, v) for _, u, v in pairs])
+        edge = (min(u, v), max(u, v))
+        if edge in line_of:
+            raise InvalidArgumentError(
+                f"line {lineno}: edge ({u},{v}) repeats line {line_of[edge]}")
+        line_of[edge] = lineno
+    return Graph(n, line_of)
 
 
 def format_graph(g: Graph) -> str:

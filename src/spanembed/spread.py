@@ -381,12 +381,19 @@ def estimate_matching_spread(f: FBInstance, c: int, s_edges: Iterable[BipEdge],
 
 
 def parse_fb_instance(text: str, params: FBParams) -> FBInstance:
-    """Read `bipartite lam` then `a b` lines with sides [0,lam) and [lam,2lam)."""
+    """Read `bipartite lam` then `a b` lines with sides [0,lam) and [lam,2lam).
+
+    An edge outside the side ranges or given twice is invalid input at its line.
+    """
     lam, pairs = int_pairs(text, "bipartite")
-    edges = []
+    line_of: dict[BipEdge, int] = {}
     for lineno, a, b in pairs:
         if not (0 <= a < lam <= b < 2 * lam):
             raise InvalidArgumentError(f"line {lineno}: edge ({a},{b}) violates side ranges")
-        edges.append((a, b - lam))
-    return FBInstance(lam, edges, params)
+        edge = (a, b - lam)
+        if edge in line_of:
+            raise InvalidArgumentError(
+                f"line {lineno}: edge ({a},{b}) repeats line {line_of[edge]}")
+        line_of[edge] = lineno
+    return FBInstance(lam, line_of, params)
 

@@ -83,6 +83,20 @@ def test_m1_bad_file_is_exit_2(files, capsys):
     assert "line 2: vertex 0 repeats line 1" in capsys.readouterr().err
 
 
+def test_repeated_edge_is_exit_2_naming_both_lines(files, capsys):
+    # refused, not merged into one edge: a repeated line is a malformed file
+    write, _ = files
+    for command, text, where in [
+        ("m1", "n 3\n0 1\n0 1\n", "line 3: edge (0,1) repeats line 2"),
+        ("m1", "n 3\n0 1\n# the same edge reversed\n1 0\n", "line 4: edge (1,0) repeats line 2"),
+        ("spread-matching", "bipartite 2\n0 2\n1 3\n0 2\n", "line 4: edge (0,2) repeats line 2"),
+    ]:
+        flag = "--graph" if command == "m1" else "--instance"
+        assert main([command, flag, write("dup.txt", text)]) == 2, text
+        captured = capsys.readouterr()
+        assert where in captured.err and captured.out == ""
+
+
 # reader -> the header line its format starts with ("" for none)
 READERS = {"graph": "n 4\n", "fb-instance": "bipartite 2\n", "phi": ""}
 # case -> (body, the body line an error names, whether the header precedes the
@@ -316,6 +330,15 @@ def test_bad_config_is_exit_2(files, capsys):
         cfg = write("bad.cfg", text)
         assert main([command, "--config", cfg]) == 2, (command, text)
         assert where in capsys.readouterr().err
+
+
+def test_scan_config_n_below_1_is_exit_2(files, capsys):
+    write, _ = files
+    for n in ("0", "-2"):
+        cfg = write("scan.cfg", f"pgrid 0.5,1.0\nn {n}\ntrials 2\n")
+        assert main(["scan", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert f"line 2: n must be >= 1, got {n}" in captured.err and captured.out == ""
 
 
 REMOVED_FLAGS = [(argv, flag) for argv in (["m1", "--graph", "g.txt"],

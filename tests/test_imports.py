@@ -1,11 +1,16 @@
-"""Every import in the library modules is used (no linter runs on this tree)."""
+"""Every import in the library modules is used (no linter runs on this tree), and
+importing the library loads neither scipy.stats nor networkx."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted(p for p in (Path(__file__).parent.parent / "src" / "spanembed").glob("*.py")
+SRC = Path(__file__).parent.parent / "src"
+MODULES = sorted(p for p in (SRC / "spanembed").glob("*.py")
                  if p.name != "__init__.py")   # __init__ imports to re-export
 
 
@@ -45,3 +50,14 @@ def test_unused_import_check_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_library_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_import_loads_no_scipy_stats_or_networkx():
+    # scipy.stats alone costs about 35 MB and 0.3 s per process; networkx is a test-only oracle
+    code = ("import sys, spanembed, spanembed.cli; "
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['scipy', 'stats'] or m.split('.')[0] == 'networkx')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []

@@ -30,6 +30,10 @@ It keeps one embedding per orbit of the automorphisms that H's clique
 and cycle components make plain, by order constraints on their images
 (``_orbit_pairs``), so a NO is not proved once per symmetric copy.
 
+``scan_thm91_grid``'s tail value is an exact hypergeometric sum, not a
+sample.  Its host is K_n iff gamma > 1/4 - 2/n, as on the benchmark's
+n = 12, gamma = 0.2 slice, where the clamp of its degree to n - 1 fires.
+
 Timeouts are first-class results, never coerced to no.
 
 CSV schema for scans (column order frozen):
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -59,10 +64,9 @@ from .graphs import (
 from .matching import UNMATCHED, edmonds_matching
 from .seeds import child_seed, np_rng, py_rng, trial_draws
 from .switching import delta_e_upper_bound
-from .tailbounds import hypergeo_chernoff_bound, wilson_interval
+from .tailbounds import wilson_interval
 
 DEFAULT_BUDGET = 10_000_000
-THM91_SUBSET_TRIALS = 2000   # half-size host subsets behind the tail check of scan_thm91_grid
 THM91_MAX_N = 25             # largest n of scan_thm91_grid; its docstring says why
 
 SCAN_COLUMNS = ("kind", "p", "trials", "successes", "timeouts",
@@ -459,33 +463,31 @@ def threshold_scan(scan: ThresholdScan) -> list[ScanRow]:
 
 def scan_thm91_grid(delta: int, n: int, gamma: float, seed: int,
                     trials: int = 200, budget: int = DEFAULT_BUDGET) -> dict:
-    """Two-grid scan for clique-plus-remainder mixtures, plus a tail check.
+    """Two-grid scan for clique-plus-remainder mixtures, plus an exact tail value.
 
     The pattern mixes K_{delta+1} components with a K_{delta+1}-free
     remainder; one grid follows the n^(-1/m1) log n shape, the other
     the sharper n^(-2/(delta+1)) (log n)^(1/binom(delta+1,2)) shape.
-    Also samples THM91_SUBSET_TRIALS random half-size vertex subsets of
-    the host and reports the frequency of degree-deficient vertices
-    against the hypergeometric tail bound.
+    ``bad_vertex_frequency`` is the exact expected share of the members
+    of a uniform (k = n // 2)-subset with fewer than (3/4 + gamma/2) k
+    neighbours inside: (1/n) sum_v P[Hypergeom(n-1, deg v, k-1) < need].
 
-    ``n`` is capped at THM91_MAX_N = 25, the largest n at which scans of
-    200 trials on the default budget ran with no timeout at seeds 0,
-    2^32 and 2^33 (1.0-1.5 s a call at n = 25 and 13-17 s at n = 23, the
-    slowest n up to the cap; 2-core VM, Python 3.11.7); n = 26 timed
-    out at two of those seeds.  At gamma = 0.2 the clamp of the degree
-    hypothesis to n - 1 makes the host K_n for every n <= 39, so every
-    scan up to the cap runs on the complete host.
+    The host's minimum degree ceil((3/4 + gamma) n) needs gamma < 1/4,
+    as delta(G) <= n - 1.  It is clamped to n - 1 iff gamma > 1/4 - 1/n,
+    and the host is K_n iff gamma > 1/4 - 2/n.  ``n`` is capped at
+    THM91_MAX_N = 25: 200-trial scans on the default budget ran with no
+    timeout at seeds 0, 2^32 and 2^33 for every n from 8 to 25 at
+    gamma = 0.05 (at most 20.6 s a call, at n = 23; 2-core VM, Python
+    3.11.7), and n = 26 timed out at two of those seeds at gamma = 0.2.
     """
-    if not 0 < gamma < 2:
-        raise InvalidArgumentError(f"gamma must lie in (0,2), so that eps = gamma/2 lies "
-                                   f"in (0,1), got {gamma}")
+    if not 0 < gamma < 0.25:
+        raise InvalidArgumentError(f"gamma must lie in (0,1/4): delta(G) >= (3/4 + gamma) n "
+                                   f"needs gamma < 1/4, since delta(G) <= n - 1; got {gamma}")
     if delta != 2:
         raise InvalidArgumentError("exact factor scanning is desk-sized only for delta = 2")
     if n > THM91_MAX_N:
         raise InvalidArgumentError(f"exact factor testing needs n <= {THM91_MAX_N}, got {n}")
     pattern = mixture_pattern(n, delta)
-    # at desk sizes the degree hypothesis can exceed n-1; clamp to the
-    # complete graph and let the grids still probe the p-shape
     need = min(n - 1, math.ceil((float(delta_e_upper_bound(delta)) + gamma) * n))
     host = random_min_degree_host(n, need, seed)
     m1 = float(max_one_density(pattern)[0])
@@ -502,25 +504,11 @@ def scan_thm91_grid(delta: int, n: int, gamma: float, seed: int,
                                          child_seed(seed, 2), budget, kind="improved-grid"))
 
     k = n // 2
-    eps = gamma / 2
-    t = gamma * k / 2
     need = (float(delta_e_upper_bound(delta)) + gamma / 2) * k
-    rng = py_rng(child_seed(seed, 3))
-    bad = 0
-    total = 0
-    for _ in range(THM91_SUBSET_TRIALS):
-        subset = rng.sample(range(n), k)
-        smask = mask_of(subset)
-        for v in subset:
-            total += 1
-            if (host.adj[v] & smask).bit_count() < need:
-                bad += 1
-    return {
-        "rows": rows,
-        "bad_vertex_frequency": bad / total if total else 0.0,
-        "bad_vertex_bound": hypergeo_chernoff_bound(eps, t),
-        "bad_vertex_samples": total,
-    }
+    # j of v's k - 1 fellow members are neighbours, in comb(d, j) comb(n-1-d, k-1-j) ways
+    short = sum(math.comb(d, j) * math.comb(n - 1 - d, k - 1 - j)
+                for d in host.degrees() for j in range(k) if j < need)
+    return {"rows": rows, "bad_vertex_frequency": Fraction(short, n * math.comb(n - 1, k - 1))}
 
 
 # -- named hosts and patterns -------------------------------------------

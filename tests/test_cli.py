@@ -234,15 +234,14 @@ def test_pipeline_rows_are_trials_at_child_seeds(files, tmp_path):
 def test_scan_thm91_subcommand(capsys):
     assert main(["scan-thm91", "--n", "12", "--gamma", "0.1",
                  "--seed", "2", "--trials", "10"]) == 0
-    out = capsys.readouterr().out
-    assert "bad-vertex" in out
+    assert "bad-vertex" in capsys.readouterr().err
 
 
 def test_scan_thm91_size_cap(capsys, monkeypatch):
     # the largest n measured timeout-free runs; one more is refused before any scan
     cap = robustness.THM91_MAX_N
     assert main(["scan-thm91", "--n", str(cap), "--trials", "1"]) == 0
-    assert "bad-vertex" in capsys.readouterr().out
+    assert "bad-vertex" in capsys.readouterr().err
     scans = []
     monkeypatch.setattr(robustness, "threshold_scan", lambda scan: scans.append(scan) or [])
     assert main(["scan-thm91", "--n", str(cap + 1), "--trials", "1"]) == 2
@@ -252,14 +251,34 @@ def test_scan_thm91_size_cap(capsys, monkeypatch):
 
 
 def test_scan_thm91_bad_gamma_is_exit_2(capsys, monkeypatch):
-    # eps = gamma/2 must lie in (0,1): a bad gamma is refused before any scan runs
+    # delta(G) >= (3/4 + gamma) n needs gamma < 1/4: a bad gamma is refused before any scan runs
     scans = []
     monkeypatch.setattr(robustness, "threshold_scan", lambda scan: scans.append(scan) or [])
-    for gamma in ("nan", "inf", "-inf", "-0.5", "0", "2", "5"):
+    for gamma in ("nan", "inf", "-inf", "-0.5", "0", "0.25", "1.5", "2", "5"):
         assert main(["scan-thm91", "--n", "12", f"--gamma={gamma}", "--trials", "2"]) == 2, gamma
         captured = capsys.readouterr()
         assert "gamma" in captured.err and captured.out == ""
     assert scans == []
+
+
+def test_scan_thm91_csv_holds_schema_rows_only(capsys):
+    assert main(["scan-thm91", "--n", "10", "--seed", "2", "--trials", "5"]) == 0
+    captured = capsys.readouterr()
+    lines = list(csv.reader(io.StringIO(captured.out)))
+    assert lines[0] == list(robustness.SCAN_COLUMNS)
+    assert {line[0] for line in lines[1:]} == {"m1-grid", "improved-grid"}
+    # each vertex of the 8-regular host misses one other, which shares its half of 5
+    # with probability 4/9 and leaves it 3 < 0.775 * 5 fellow members as neighbours
+    assert "bad-vertex frequency 4/9" in captured.err
+
+
+def test_scan_thm91_default_gamma_host_is_not_complete(monkeypatch):
+    gamma = build_parser().parse_args(["scan-thm91"]).gamma
+    scans = []
+    monkeypatch.setattr(robustness, "threshold_scan", lambda scan: scans.append(scan) or [])
+    for n in range(10, robustness.THM91_MAX_N + 1):
+        robustness.scan_thm91_grid(2, n, gamma, 0)
+        assert scans[-1].host.num_edges() < n * (n - 1) // 2, n
 
 
 def test_unknown_event_is_exit_2(files):
@@ -341,6 +360,23 @@ def test_scan_config_n_below_1_is_exit_2(files, capsys):
         assert f"line 2: n must be >= 1, got {n}" in captured.err and captured.out == ""
 
 
+def test_scan_config_n_above_cap_is_exit_2(files, capsys):
+    # refused at its line before any host is built: a complete host on n vertices
+    # has n(n-1)/2 edges, and one on 100000 vertices exhausts memory
+    write, _ = files
+    n = cli.SCAN_MAX_N + 1
+    never = mock.Mock(side_effect=AssertionError)
+    for host in ("complete", "dirac-overlap", "unbalanced-multipartite", "min-degree:3"):
+        cfg = write("scan.cfg", f"pgrid 0.5,1.0\nn {n}\nhost {host}\ntrials 2\n")
+        with mock.patch.dict(cli._HOSTS, {name: never for name in cli._HOSTS}), \
+                mock.patch.object(cli, "random_min_degree_host", never):
+            assert main(["scan", "--config", cfg]) == 2, host
+        captured = capsys.readouterr()
+        assert f"line 2: n must be <= {n - 1}, got {n}" in captured.err and captured.out == ""
+    assert never.call_count == 0
+    assert cli._scan_size(cli.SCAN_MAX_N) == cli.SCAN_MAX_N
+
+
 REMOVED_FLAGS = [(argv, flag) for argv in (["m1", "--graph", "g.txt"],
                                            ["equitable", "--graph", "g.txt", "2"],
                                            ["clique-factor", "--graph", "g.txt", "3"])
@@ -419,7 +455,8 @@ def graph_text(draw, n=st.integers(0, 12)):
         edges = draw(st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=3))
     else:
         edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-            lambda e: e[0] != e[1]), max_size=3 * n)) if n > 1 else []
+            lambda e: e[0] != e[1]), max_size=3 * n, unique_by=lambda e: (min(e), max(e)))
+        ) if n > 1 else []
     return "\n".join([f"n {n}"] + [f"{u} {v}" for u, v in edges]) + "\n"
 
 
@@ -428,9 +465,11 @@ def instance_text(draw):
     lam = draw(st.integers(0, 8))
     side_a = st.integers(0, max(lam - 1, 0))
     side_b = st.integers(lam, max(2 * lam - 1, lam))
-    edges = draw(st.lists(st.tuples(side_a, side_b), max_size=lam * lam))
+    edges = draw(st.lists(st.tuples(side_a, side_b), max_size=lam * lam, unique=True))
     if draw(st.booleans()):    # often dense enough for a perfect matching
-        edges += [(a, lam + b) for a in range(lam) for b in (a, (a + 1) % lam)]
+        # each edge once: a-a and a-(a+1) coincide at lam = 1, and either may be drawn above
+        edges = list(dict.fromkeys(edges + [(a, lam + b) for a in range(lam)
+                                            for b in (a, (a + 1) % lam)]))
     return "\n".join([f"bipartite {lam}"] + [f"{a} {b}" for a, b in edges]) + "\n"
 
 

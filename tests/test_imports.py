@@ -1,8 +1,10 @@
-"""Every import in the library modules is used (no linter runs on this tree), and
-importing the library loads neither scipy.stats nor networkx."""
+"""Every import and every UPPER_CASE module constant in the library is used (no
+linter runs on this tree), and importing the library loads neither scipy.stats
+nor networkx."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +52,35 @@ def test_unused_import_check_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_library_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_constants(sources: list[str]) -> list[str]:
+    """UPPER_CASE names assigned at module level in ``sources`` that none of them reads."""
+    assigned, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            assigned |= {t.id for t in targets
+                         if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(assigned - read)
+
+
+def test_unread_constant_check_finds_unread_names():
+    sources = ["A = 1\nB_2: int = 2\nlower = 3\nC = A\ndef f():\n    D = 4\n",
+               "import m\nprint(m.C)\n"]
+    assert unread_constants(sources) == ["B_2"]
+
+
+def test_library_constants_are_read():
+    sources = [p.read_text(encoding="utf-8") for p in sorted((SRC / "spanembed").glob("*.py"))]
+    assert unread_constants(sources) == []
 
 
 def test_import_loads_no_scipy_stats_or_networkx():

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -453,14 +454,36 @@ def test_threshold_scan_flags_timeouts():
     assert rows[0].flag == "scan-unreliable"
 
 
+def _half_subset_share(host, gamma):
+    """Share of (half-size subset, member) pairs, over every such subset,
+    whose member keeps fewer than (3/4 + gamma/2) k neighbours inside."""
+    k = host.n // 2
+    need = (0.75 + gamma / 2) * k
+    bad = total = 0
+    for subset in itertools.combinations(range(host.n), k):
+        smask = sum(1 << v for v in subset)
+        bad += sum((host.adj[v] & smask).bit_count() < need for v in subset)
+        total += k
+    return Fraction(bad, total)
+
+
 def test_scan_thm91_shapes_and_tail():
     result = scan_thm91_grid(2, 12, gamma=0.2, seed=5, trials=40)
-    kinds = {r.kind for r in result["rows"]}
-    assert kinds == {"m1-grid", "improved-grid"}
-    freq = result["bad_vertex_frequency"]
-    bound = result["bad_vertex_bound"]
-    sigma = math.sqrt(max(freq, 1e-4) / result["bad_vertex_samples"])
-    assert freq <= bound + 3 * sigma
+    assert [r.kind for r in result["rows"]] == ["m1-grid"] * 4 + ["improved-grid"] * 4
+    # the exact tail value draws no random numbers: the rows are the sampling version's
+    assert [r.successes for r in result["rows"]] == [0, 1, 35, 40, 0, 0, 3, 38]
+    # the host is K_12: each member keeps 5 < 0.85 * 6 neighbours
+    assert result["bad_vertex_frequency"] == 1
+
+
+@pytest.mark.parametrize("n, gamma, seed", [(8, 0.05, 0), (9, 0.1, 1), (10, 0.05, 2),
+                                            (11, 0.01, 0), (11, 0.05, 3), (12, 0.02, 7),
+                                            (12, 0.08, 1), (12, 0.1, 2**32)])
+def test_scan_thm91_tail_equals_enumeration(monkeypatch, n, gamma, seed):
+    scans = []
+    monkeypatch.setattr(robustness, "threshold_scan", lambda scan: scans.append(scan) or [])
+    freq = scan_thm91_grid(2, n, gamma, seed)["bad_vertex_frequency"]
+    assert freq == _half_subset_share(scans[0].host, gamma)
 
 
 def test_named_hosts():

@@ -206,37 +206,42 @@ def cmd_spread_matching(args) -> int:
     params = FBParams(d=args.d, b=args.b, rho=0.1, mu=0.25, delta=args.b)
     with open(args.instance, "r", encoding="utf-8") as fh:
         inst = parse_fb_instance(fh.read(), params)
+    events = [_parse_event(spec, inst.lam) for spec in args.event]
     c = args.c if args.c else default_coupling_constant(inst)
     rows = []
-    for spec in args.event:
-        est = _run_matching_event(inst, c, spec, args.trials, args.seed)
+    for edges in events:
+        if edges is None:
+            _, (hits,) = count_trials(
+                lambda trial_seed: sample_coupled(inst, c, trial_seed).z_mat,
+                [lambda z: canonical_matching(z)[0] < inst.lam], args.trials, args.seed)
+            est = SpreadEstimate("hall-fail", args.trials, hits)
+        else:
+            est = estimate_matching_spread(inst, c, edges, args.trials, args.seed)
         rows.append([est.event, est.trials, est.hits,
                      f"{est.estimate:.6f}", f"{est.radius:.6f}"])
     _emit_csv(args.out, ["event", "trials", "hits", "estimate", "radius"], rows)
     return EXIT_OK
 
 
-def _run_matching_event(inst, c, spec, trials, seed) -> SpreadEstimate:
+def _parse_event(spec: str, lam: int) -> list[tuple[int, int]] | None:
+    """The edges of a ``contains:a-b[,..]`` spec, or None for ``hall-fail``."""
     if spec == "hall-fail":
-        _, (hits,) = count_trials(
-            lambda trial_seed: sample_coupled(inst, c, trial_seed).z_mat,
-            [lambda z: canonical_matching(z)[0] < inst.lam], trials, seed)
-        return SpreadEstimate("hall-fail", trials, hits)
-    if spec.startswith("contains:"):
-        edges = []
-        for token in spec.split(":", 1)[1].split(","):
-            a, _, b = token.partition("-")
-            try:
-                edge = (int(a), int(b))
-            except ValueError:
-                raise InvalidArgumentError(
-                    f"bad edge {token!r} in {spec!r}; expected a-b") from None
-            if not all(0 <= end < inst.lam for end in edge):
-                raise InvalidArgumentError(
-                    f"edge {token!r} in {spec!r}: both ends are side indices in [0, {inst.lam})")
-            edges.append(edge)
-        return estimate_matching_spread(inst, c, edges, trials, seed)
-    raise InvalidArgumentError(f"unknown event spec {spec!r}; use hall-fail or contains:a-b[,..]")
+        return None
+    if not spec.startswith("contains:"):
+        raise InvalidArgumentError(
+            f"unknown event spec {spec!r}; use hall-fail or contains:a-b[,..]")
+    edges = []
+    for token in spec.split(":", 1)[1].split(","):
+        a, _, b = token.partition("-")
+        try:
+            edge = (int(a), int(b))
+        except ValueError:
+            raise InvalidArgumentError(f"bad edge {token!r} in {spec!r}; expected a-b") from None
+        if not all(0 <= end < lam for end in edge):
+            raise InvalidArgumentError(
+                f"edge {token!r} in {spec!r}: both ends are side indices in [0, {lam})")
+        edges.append(edge)
+    return edges
 
 
 def cmd_pipeline(args) -> int:
@@ -307,9 +312,15 @@ def cmd_scan(args) -> int:
         host = random_min_degree_host(n, min_degree, seed)
     else:
         host = read_graph(host_name)
+        if "n" in conf and n != host.n:
+            raise InvalidArgumentError(
+                f"line {conf['n'][0]}: n {n}, but the host file has {host.n} vertices")
     pattern_name = config_value(conf, "pattern", str, "matching")
     pattern = (_PATTERNS[pattern_name](host.n) if pattern_name in _PATTERNS
                else read_graph(pattern_name))
+    if pattern.n != host.n:    # only a pattern file can differ
+        raise InvalidArgumentError(f"line {conf['pattern'][0]}: the pattern file has {pattern.n} "
+                                   f"vertices, the host {host.n}")
     grid = config_value(conf, "pgrid",
                         lambda v: check_p_grid(tuple(float(tok) for tok in v.split(","))))
     if grid is None:

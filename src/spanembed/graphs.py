@@ -115,44 +115,31 @@ class Graph:
         ]
         return Graph(len(vertices), es)
 
+    def ball(self, v: int, radius: int | None = None) -> int:
+        """Mask of the vertices within ``radius`` steps of v; v's whole component for None."""
+        reach = frontier = 1 << v
+        for _ in range(self.n if radius is None else radius):
+            nxt = 0
+            for u in bits(frontier):
+                nxt |= self.adj[u]
+            frontier = nxt & ~reach
+            if not frontier:
+                break
+            reach |= frontier
+        return reach
+
     def connected_components(self) -> list[list[int]]:
         """Vertex lists of the components by least vertex (cached; fresh lists per call)."""
         if self._components is None:
             seen = 0
             comps = []
             for s in range(self.n):
-                if seen >> s & 1:
-                    continue
-                frontier = 1 << s
-                comp = frontier
-                while frontier:
-                    nxt = 0
-                    for v in bits(frontier):
-                        nxt |= self.adj[v]
-                    frontier = nxt & ~comp
-                    comp |= frontier
-                seen |= comp
-                comps.append(tuple(bits(comp)))
+                if not seen >> s & 1:
+                    comp = self.ball(s)
+                    seen |= comp
+                    comps.append(tuple(bits(comp)))
             self._components = tuple(comps)
         return [list(c) for c in self._components]
-
-    def bfs_distances(self, source: int) -> list[int]:
-        """Hop distances from source; -1 for unreachable vertices."""
-        dist = [-1] * self.n
-        dist[source] = 0
-        frontier = 1 << source
-        seen = frontier
-        d = 0
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-            d += 1
-            for v in bits(frontier):
-                dist[v] = d
-        return dist
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges

@@ -5,14 +5,16 @@ differ by at most one; it exists whenever k >= max degree + 1.  The
 algorithm here is greedy colouring followed by rebalancing: move a
 vertex from an over-full class to an under-full class where it has no
 neighbour, searching an augmenting path through the digraph of feasible
-class-to-class moves when no direct move exists.  Deterministic
-restarts and, for n <= 12, an exhaustive fallback guarantee totality at
-desk scale.  Ties break toward the lowest vertex index throughout.
+class-to-class moves when no direct move exists.  When rebalancing
+gets stuck, the greedy colouring restarts from a shuffled vertex order;
+after ``MAX_RESTARTS`` orders in all, ``InternalInvariantError`` is
+raised at every size.  There is no other fallback: no colouring met in
+random sweeps, the pipeline's inputs or the benchmark needed more than
+one restart.  Ties break toward the lowest vertex index throughout.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,9 +24,9 @@ from .errors import (
     InvalidArgumentError,
 )
 from .graphs import Graph, bits, mask_of
+from .seeds import py_rng
 
 MAX_RESTARTS = 60
-EXHAUSTIVE_N = 12
 
 
 @dataclass(frozen=True)
@@ -94,16 +96,10 @@ def equitable_coloring(h: Graph, k: int) -> EquitablePartition:
     for attempt in range(MAX_RESTARTS):
         order = list(range(h.n))
         if attempt:
-            random.Random(attempt).shuffle(order)
+            py_rng(attempt).shuffle(order)
         classes = _greedy_balanced_coloring(h, k, order)
         if _rebalance(h, classes):
             parts = tuple(tuple(sorted(c)) for c in classes)
-            ep = EquitablePartition(parts)
-            ep.validate(h)
-            return ep
-    if h.n <= EXHAUSTIVE_N:
-        parts = _exhaustive_equitable(h, k)
-        if parts is not None:
             ep = EquitablePartition(parts)
             ep.validate(h)
             return ep
@@ -197,37 +193,6 @@ def _move_path(h, classes, masks, sources, targets):
     return chain
 
 
-def _exhaustive_equitable(h: Graph, k: int):
-    """Backtracking search for an equitable colouring; None if none exists."""
-    n = h.n
-    base, extra = divmod(n, k)
-    caps = [base + 1 if i < extra else base for i in range(k)]
-    assign = [-1] * n
-    masks = [0] * k
-    counts = [0] * k
-
-    def place(v: int) -> bool:
-        if v == n:
-            return True
-        for c in range(k):
-            if counts[c] >= caps[c] or (h.adj[v] & masks[c]):
-                continue
-            assign[v] = c
-            counts[c] += 1
-            masks[c] |= 1 << v
-            if place(v + 1):
-                return True
-            counts[c] -= 1
-            masks[c] &= ~(1 << v)
-            assign[v] = -1
-        return False
-
-    if not place(0):
-        return None
-    parts = [tuple(v for v in range(n) if assign[v] == c) for c in range(k)]
-    return tuple(p for p in parts)
-
-
 def clique_factor(g: Graph, r: int) -> CliqueFactor:
     """K_r-factor covering all but at most r-1 vertices.
 
@@ -269,8 +234,7 @@ def distance_power_graph(h: Graph, radius: int) -> Graph:
         raise InvalidArgumentError(f"radius must be >= 1, got {radius}")
     edges = []
     for u in range(h.n):
-        dist = h.bfs_distances(u)
-        edges.extend((u, v) for v in range(u + 1, h.n) if 0 < dist[v] <= radius)
+        edges.extend((u, v) for v in bits(h.ball(u, radius) >> (u + 1) << (u + 1)))
     return Graph(h.n, edges)
 
 
@@ -278,11 +242,7 @@ def closed_second_neighborhood(h: Graph, x: int) -> tuple[int, ...]:
     """All vertices at H-distance <= 2 from x, including x itself."""
     if not 0 <= x < h.n:
         raise InvalidArgumentError(f"vertex {x} outside range [0,{h.n})")
-    ball = 1 << x
-    for v in bits(h.adj[x]):
-        ball |= 1 << v
-        ball |= h.adj[v]
-    return tuple(bits(ball))
+    return tuple(bits(h.ball(x, 2)))
 
 
 def format_partition(parts: Sequence[Sequence[int]]) -> str:

@@ -267,8 +267,10 @@ def _contains_backtracking(gp: Graph, h: Graph, budget: int) -> ContainVerdict:
     """General spanning-embedding backtracking with candidate and orbit pruning.
 
     A pattern vertex takes the host vertices whose degree admits it,
-    adjacent to the images of its earlier neighbours and inside the
-    bounds that ``_orbit_pairs`` sets against earlier vertices.
+    adjacent to the images of its earlier neighbours and above the
+    images of the vertices that ``_orbit_pairs`` sets below it.  Every
+    such pair points forward in the search order (-degree, index), so
+    its lower vertex is always placed first.
     """
     n = h.n
     order = sorted(range(n), key=lambda x: (-h.degree(x), x))
@@ -284,14 +286,10 @@ def _contains_backtracking(gp: Graph, h: Graph, budget: int) -> ContainVerdict:
     # host vertices whose degree admits x, one mask per distinct pattern degree
     deg_masks = {d: mask_of(v for v in range(gp.n) if gp_deg[v] >= d) for d in set(h_deg)}
     admits = [deg_masks[h_deg[x]] for x in range(n)]
-    # earlier vertices whose image must lie below (above) x's image
+    # earlier vertices whose image must lie below x's image
     below: list[list[int]] = [[] for _ in range(n)]
-    above: list[list[int]] = [[] for _ in range(n)]
     for a, b in _orbit_pairs(h):
-        if pos[a] < pos[b]:
-            below[b].append(a)
-        else:
-            above[a].append(b)
+        below[b].append(a)
 
     def place(i: int) -> str:
         nonlocal nodes, used
@@ -306,8 +304,6 @@ def _contains_backtracking(gp: Graph, h: Graph, budget: int) -> ContainVerdict:
             cand &= gp.adj[phi[y]]
         for y in below[x]:
             cand &= -2 << phi[y]
-        for y in above[x]:
-            cand &= (1 << phi[y]) - 1
         while cand:
             low = cand & -cand
             cand ^= low
@@ -338,6 +334,12 @@ def _orbit_pairs(h: Graph) -> list[tuple[int, int]]:
     an automorphism of H that sorts those images gives an embedding
     that meets every pair, so a search that keeps only such embeddings
     stays exact.  Other components get no pairs.
+
+    Every pair has a < b and deg a = deg b: clique members and clique
+    leaders are listed in ascending order, and a cycle's pairs start at
+    its least vertex, whose lower neighbour comes before its upper one.
+    So a search that orders vertices by (-degree, index) places a
+    before b.
     """
     pairs: list[tuple[int, int]] = []
     leaders: dict[int, list[int]] = {}    # least vertex of each clique component, by size

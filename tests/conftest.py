@@ -6,6 +6,7 @@ import random
 import sys
 from pathlib import Path
 
+import networkx as nx
 from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -35,6 +36,14 @@ def random_bounded_degree_graph(n: int, max_deg: int, seed: int, p: float = 0.5)
             deg[u] += 1
             deg[v] += 1
     return Graph(n, edges)
+
+
+def nx_graph(g: Graph) -> nx.Graph:
+    """The same graph as a networkx graph, isolated vertices included."""
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges)
+    return out
 
 
 def format_fb_instance(f) -> str:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import format_fb_instance
-from spanembed import cli, robustness
+from spanembed import cli, robustness, spread
 from spanembed.cli import build_parser, main
 from spanembed.errors import InternalInvariantError, InvalidArgumentError
 from spanembed.graphs import Graph, complete_graph, cycle_graph, format_graph, parse_graph
@@ -297,6 +297,22 @@ def test_unknown_event_is_exit_2(files):
         assert main(["spread-matching", "--instance", bad]) == 2
 
 
+def test_spread_matching_checks_every_event_before_drawing(files, capsys, monkeypatch):
+    write, _ = files
+    params = FBParams(d=0.8, b=1, rho=0.1, mu=0.25, delta=2)
+    inst = FBInstance(4, [(a, b) for a in range(4) for b in range(4)], params)
+    path = write("inst.txt", format_fb_instance(inst))
+    never = mock.Mock(side_effect=AssertionError("drew before refusing"))
+    monkeypatch.setattr(cli, "sample_coupled", never)
+    monkeypatch.setattr(spread, "sample_spread_matching", never)
+    for first in ("hall-fail", "contains:0-1"):
+        assert main(["spread-matching", "--instance", path, "--trials", "3000",
+                     "--event", first, "--event", "contains:0-x"]) == 2, first
+        captured = capsys.readouterr()
+        assert "bad edge '0-x'" in captured.err and captured.out == ""
+    never.assert_not_called()
+
+
 def test_spread_matching_bad_trials_is_exit_2(files, capsys):
     write, _ = files
     params = FBParams(d=0.8, b=1, rho=0.1, mu=0.25, delta=2)
@@ -358,6 +374,25 @@ def test_scan_config_n_below_1_is_exit_2(files, capsys):
         assert main(["scan", "--config", cfg]) == 2
         captured = capsys.readouterr()
         assert f"line 2: n must be >= 1, got {n}" in captured.err and captured.out == ""
+
+
+def test_scan_config_file_sizes_are_checked_before_any_trial(files, capsys, monkeypatch):
+    write, _ = files
+    host = write("g6.txt", format_graph(complete_graph(6)))
+    pattern = write("h4.txt", format_graph(Graph(4, [(0, 1), (2, 3)])))
+    monkeypatch.setattr(cli, "threshold_scan", mock.Mock(side_effect=AssertionError))
+    for text, where in ((f"pgrid 0.5,1.0\nn 40\nhost {host}\n",
+                         "line 2: n 40, but the host file has 6 vertices"),
+                        (f"pgrid 0.5,1.0\nhost {host}\npattern {pattern}\n",
+                         "line 3: the pattern file has 4 vertices, the host 6"),
+                        (f"n 6\npattern {pattern}\nhost {host}\n",
+                         "line 2: the pattern file has 4 vertices, the host 6"),
+                        (f"n 12\npattern {pattern}\n",
+                         "line 2: the pattern file has 4 vertices, the host 12")):
+        cfg = write("scan.cfg", text)
+        assert main(["scan", "--config", cfg]) == 2, text
+        captured = capsys.readouterr()
+        assert where in captured.err and captured.out == "", captured.err
 
 
 def test_scan_config_n_above_cap_is_exit_2(files, capsys):

@@ -1,8 +1,11 @@
+import networkx as nx
 import pytest
 
+from conftest import nx_graph, random_graph
 from spanembed.errors import InvalidArgumentError
 from spanembed.graphs import (
     Graph,
+    bits,
     blow_up,
     clique_component_size,
     complete_graph,
@@ -33,8 +36,19 @@ def test_rejects_self_loops_and_bad_range():
 def test_components_and_bfs():
     g = disjoint_union(cycle_graph(3), path_graph(2))
     assert g.connected_components() == [[0, 1, 2], [3, 4]]
-    d = g.bfs_distances(0)
-    assert d[1] == d[2] == 1 and d[3] == -1
+    d = nx.single_source_shortest_path_length(nx_graph(g), 0)
+    assert d[1] == d[2] == 1 and 3 not in d
+    assert bits(g.ball(0, 1)) == bits(g.ball(0)) == [0, 1, 2]
+
+
+def test_ball_equals_networkx_distances():
+    for seed in range(60):
+        g = random_graph(seed % 25, 0.02 + seed % 7 * 0.03, seed)
+        ng = nx_graph(g)
+        for v in range(g.n):
+            for radius in (*range(7), None):
+                want = nx.single_source_shortest_path_length(ng, v, cutoff=radius)
+                assert bits(g.ball(v, radius)) == sorted(want), (seed, v, radius)
 
 
 def test_components_are_cached_behind_fresh_lists():

@@ -1,6 +1,6 @@
-"""Every import and every UPPER_CASE module constant in the library is used (no
-linter runs on this tree), and importing the library loads neither scipy.stats
-nor networkx."""
+"""Every import, every UPPER_CASE module constant and every module-level _private
+function or class in the library is used (no linter runs on this tree), and
+importing the library loads neither scipy.stats nor networkx."""
 
 import ast
 import os
@@ -54,6 +54,13 @@ def test_library_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _reads(tree: ast.AST) -> set[str]:
+    """Every name loaded or read as an attribute in ``tree``."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
 def unread_constants(sources: list[str]) -> list[str]:
     """UPPER_CASE names assigned at module level in ``sources`` that none of them reads."""
     assigned, read = set(), set()
@@ -64,12 +71,20 @@ def unread_constants(sources: list[str]) -> list[str]:
                        else [node.target] if isinstance(node, ast.AnnAssign) else [])
             assigned |= {t.id for t in targets
                          if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+        read |= _reads(tree)
     return sorted(assigned - read)
+
+
+def unread_private_helpers(sources: list[str]) -> list[str]:
+    """Module-level ``_private`` functions and classes in ``sources`` that none of them reads."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        defined |= {node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")}
+        read |= _reads(tree)
+    return sorted(defined - read)
 
 
 def test_unread_constant_check_finds_unread_names():
@@ -81,6 +96,18 @@ def test_unread_constant_check_finds_unread_names():
 def test_library_constants_are_read():
     sources = [p.read_text(encoding="utf-8") for p in sorted((SRC / "spanembed").glob("*.py"))]
     assert unread_constants(sources) == []
+
+
+def test_unread_private_helper_check_finds_unread_names():
+    sources = ["def _a():\n    pass\nclass _B:\n    pass\ndef _c():\n    return _a()\n"
+               "def __d__():\n    pass\ndef e():\n    def _f():\n        pass\n",
+               "import m\nprint(m._B)\n"]
+    assert unread_private_helpers(sources) == ["_c"]
+
+
+def test_library_private_helpers_are_read():
+    sources = [p.read_text(encoding="utf-8") for p in sorted((SRC / "spanembed").glob("*.py"))]
+    assert unread_private_helpers(sources) == []
 
 
 def test_import_loads_no_scipy_stats_or_networkx():

@@ -1,10 +1,11 @@
 import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bounded_degree_graph
+from conftest import nx_graph, random_bounded_degree_graph, random_graph
 from spanembed import partition
 from spanembed.errors import InfeasibleParametersError, InternalInvariantError
 from spanembed.graphs import (
@@ -73,15 +74,16 @@ def test_equitable_restarts_after_a_failed_rebalance(monkeypatch):
     assert results == [False, True]
 
 
-def test_equitable_exhaustive_fallback_up_to_twelve_vertices(monkeypatch):
-    monkeypatch.setattr(partition, "_rebalance", lambda h, classes: False)
+def test_equitable_raises_after_max_restarts_at_every_size(monkeypatch):
+    # no exhaustive fallback: once every restart fails, small graphs raise too
+    calls = []
+    monkeypatch.setattr(partition, "_rebalance", lambda h, classes: calls.append(h) and False)
     for g, k in ((cycle_graph(9), 3), (Graph(12, []), 5), (complete_graph(4), 4),
-                 (random_bounded_degree_graph(12, 3, seed=7), 4)):
-        ep = equitable_coloring(g, k)
-        ep.validate(g)
-        assert ep.k == k
-    with pytest.raises(InternalInvariantError):
-        equitable_coloring(cycle_graph(13), 3)
+                 (random_bounded_degree_graph(12, 3, seed=7), 4), (cycle_graph(13), 3)):
+        calls.clear()
+        with pytest.raises(InternalInvariantError):
+            equitable_coloring(g, k)
+        assert len(calls) == partition.MAX_RESTARTS, g
 
 
 @settings(max_examples=40, deadline=None)
@@ -133,9 +135,18 @@ def test_distance_power_examples():
     c12 = cycle_graph(12)
     p2 = distance_power_graph(c12, 2)
     assert all(p2.degree(v) == 4 for v in range(12))
-    # independent BFS-based count for one vertex
-    dist = c12.bfs_distances(0)
+    # independent count for one vertex, from networkx's distances
+    dist = nx.single_source_shortest_path_length(nx_graph(c12), 0)
     assert sum(1 for v in range(1, 12) if dist[v] <= 2) == 4
+
+
+def test_distance_power_equals_networkx_power():
+    for seed in range(40):
+        h = random_graph(seed % 30 + 1, 0.03 + seed % 5 * 0.04, seed)
+        for radius in (1, 2, 3, 5):
+            want = nx.power(nx_graph(h), radius)
+            got = distance_power_graph(h, radius)
+            assert got.edges == {(min(e), max(e)) for e in want.edges}, (seed, radius)
 
 
 def test_closed_second_neighborhood_examples():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
+from conftest import nx_graph as _nx
 from conftest import random_graph
 from spanembed import robustness
 from spanembed.density import max_one_density
@@ -235,11 +236,20 @@ def test_orbit_pruned_search_equals_networkx_monomorphism():
     assert kinds[YES] >= 100 and kinds[NO] >= 100, kinds
 
 
-def _nx(g):
-    out = nx.Graph()
-    out.add_nodes_from(range(g.n))
-    out.add_edges_from(g.edges)
-    return out
+def test_orbit_pairs_point_forward_in_the_search_order(monkeypatch):
+    # on the unions above, every pair (a, b) has a < b and deg a = deg b, so the
+    # search's (-degree, index) order places a first
+    orbit_pairs, sizes = robustness._orbit_pairs, []
+
+    def checked(h):
+        pairs = orbit_pairs(h)
+        assert all(a < b and h.degree(a) == h.degree(b) for a, b in pairs), pairs
+        sizes.append(len(pairs))
+        return pairs
+
+    monkeypatch.setattr(robustness, "_orbit_pairs", checked)
+    test_orbit_pruned_search_equals_networkx_monomorphism()
+    assert len(sizes) == 300 and sum(sizes) > 0
 
 
 def test_cliques_from_lists_cliques_by_least_vertex():

@@ -311,13 +311,13 @@ def cmd_scan(args) -> int:
         min_degree = config_value(conf, "host", lambda v: int(v.split(":", 1)[1]))
         host = random_min_degree_host(n, min_degree, seed)
     else:
-        host = read_graph(host_name)
+        host = read_graph(host_name, SCAN_MAX_N)
         if "n" in conf and n != host.n:
             raise InvalidArgumentError(
                 f"line {conf['n'][0]}: n {n}, but the host file has {host.n} vertices")
     pattern_name = config_value(conf, "pattern", str, "matching")
     pattern = (_PATTERNS[pattern_name](host.n) if pattern_name in _PATTERNS
-               else read_graph(pattern_name))
+               else read_graph(pattern_name, SCAN_MAX_N))
     if pattern.n != host.n:    # only a pattern file can differ
         raise InvalidArgumentError(f"line {conf['pattern'][0]}: the pattern file has {pattern.n} "
                                    f"vertices, the host {host.n}")

@@ -232,6 +232,10 @@ def disjoint_union(*parts: Graph) -> Graph:
 
 # -- text format ------------------------------------------------------
 
+# A vertex's adjacency row is an int with a bit per vertex, so the rows of
+# an n-vertex graph take up to n^2/8 bytes: 12.5 MB at this cap.
+GRAPH_MAX_N = 10_000
+
 
 def parse_int(token: str, lineno: int) -> int:
     """``int(token)``, reporting a malformed token as invalid input on its line."""
@@ -250,12 +254,13 @@ def records(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def int_pairs(text: str, header: str | None = None) -> tuple[int, list[tuple[int, int, int]]]:
+def int_pairs(text: str, header: str | None = None,
+              max_count: int | None = None) -> tuple[int, list[tuple[int, int, int]]]:
     """The ``a b`` integer lines of ``text`` as (line number, a, b).
 
     With ``header``, the first line must read ``<header> <count>`` with a
-    count of at least 0, and the count comes first in the result; without
-    one it is 0.
+    count of at least 0, and at most ``max_count`` if one is given; the
+    count comes first in the result.  Without a header the count is 0.
     """
     count = None if header else 0
     pairs = []
@@ -268,6 +273,9 @@ def int_pairs(text: str, header: str | None = None) -> tuple[int, list[tuple[int
             count = parse_int(tokens[1], lineno)
             if count < 0:
                 raise InvalidArgumentError(f"line {lineno}: {header} {count} is negative")
+            if max_count is not None and count > max_count:
+                raise InvalidArgumentError(
+                    f"line {lineno}: {header} {count} is above the cap {max_count}")
         elif len(tokens) != 2:
             raise InvalidArgumentError(f"line {lineno}: expected 'a b', got {line!r}")
         else:
@@ -278,9 +286,12 @@ def int_pairs(text: str, header: str | None = None) -> tuple[int, list[tuple[int
     return count, pairs
 
 
-def parse_graph(text: str) -> Graph:
-    """The graph of ``text``; a loop, an edge outside [0,n) or a repeated edge names its line."""
-    n, pairs = int_pairs(text, "n")
+def parse_graph(text: str, max_n: int = GRAPH_MAX_N) -> Graph:
+    """The graph of ``text``; a loop, an edge outside [0,n) or a repeated edge names its line.
+
+    A header count above ``max_n`` is refused at its line, before anything is built.
+    """
+    n, pairs = int_pairs(text, "n", max_n)
     line_of: dict[Edge, int] = {}
     for lineno, u, v in pairs:
         if u == v or not (0 <= u < n and 0 <= v < n):
@@ -300,9 +311,9 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_graph(path) -> Graph:
+def read_graph(path, max_n: int = GRAPH_MAX_N) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        return parse_graph(fh.read(), max_n)
 
 
 def is_valid_embedding(h: Graph, g: Graph, phi: dict[int, int] | Sequence[int]) -> bool:

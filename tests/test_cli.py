@@ -16,7 +16,14 @@ from conftest import format_fb_instance
 from spanembed import cli, robustness, spread
 from spanembed.cli import build_parser, main
 from spanembed.errors import InternalInvariantError, InvalidArgumentError
-from spanembed.graphs import Graph, complete_graph, cycle_graph, format_graph, parse_graph
+from spanembed.graphs import (
+    GRAPH_MAX_N,
+    Graph,
+    complete_graph,
+    cycle_graph,
+    format_graph,
+    parse_graph,
+)
 from spanembed.pipeline import (
     RGAConfig,
     generate_regular_host,
@@ -62,6 +69,10 @@ def test_m1_bad_file_is_exit_2(files, capsys):
                              ("loop.txt", "n 3\n0 1\n1 1\n", 3)]:
         assert main(["m1", "--graph", write(name, text)]) == 2
         assert f"line {line}:" in capsys.readouterr().err
+    # a vertex count past the cap is refused at its header, before a Graph is built
+    assert main(["m1", "--graph", write("huge.txt", "n 10000000000000\n0 1\n")]) == 2
+    assert (f"line 1: n 10000000000000 is above the cap {GRAPH_MAX_N}"
+            in capsys.readouterr().err)
     # a directory or a file that is not text is not a graph either
     _, tmp = files
     (tmp / "bin.txt").write_bytes(b"n 3\n\xff\xfe\n")
@@ -410,6 +421,18 @@ def test_scan_config_n_above_cap_is_exit_2(files, capsys):
         assert f"line 2: n must be <= {n - 1}, got {n}" in captured.err and captured.out == ""
     assert never.call_count == 0
     assert cli._scan_size(cli.SCAN_MAX_N) == cli.SCAN_MAX_N
+
+
+def test_scan_graph_file_above_cap_is_exit_2(files, capsys, monkeypatch):
+    # a header-only host or pattern file is refused at its header: nothing is built
+    write, _ = files
+    n = cli.SCAN_MAX_N + 1
+    big = write("big.txt", f"n {n}\n")
+    monkeypatch.setattr(cli, "threshold_scan", mock.Mock(side_effect=AssertionError))
+    for text in (f"pgrid 0.5,1.0\nhost {big}\n", f"pgrid 0.5,1.0\nn 6\npattern {big}\n"):
+        assert main(["scan", "--config", write("scan.cfg", text)]) == 2, text
+        captured = capsys.readouterr()
+        assert f"line 1: n {n} is above the cap {n - 1}" in captured.err and captured.out == ""
 
 
 REMOVED_FLAGS = [(argv, flag) for argv in (["m1", "--graph", "g.txt"],

@@ -1,11 +1,13 @@
+import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalog import m1_oracle
+from catalog import connected_catalog, m1_oracle
 from conftest import random_bounded_degree_graph, random_graph
 from spanembed import density
 from spanembed.density import (
@@ -14,7 +16,7 @@ from spanembed.density import (
     max_one_density,
     one_density,
 )
-from spanembed.errors import InvalidArgumentError, UnsupportedSizeError
+from spanembed.errors import InternalInvariantError, InvalidArgumentError, UnsupportedSizeError
 from spanembed.graphs import Graph, complete_graph, cycle_graph, disjoint_union
 
 
@@ -140,17 +142,80 @@ def test_component_size_picks_the_path(monkeypatch):
 
 
 def test_large_component_uses_flow_path(monkeypatch):
-    # sparse connected 18-vertex graph: the package takes the flow search,
-    # and the subset scan (2^18 sets) cross-checks it
-    g = random_bounded_degree_graph(18, 3, seed=9, p=0.9)
-    assert len(g.connected_components()) == 1 and g.n > density.EXHAUSTIVE_LIMIT
-    num_e, den_e, _ = _component_m1_exhaustive(g)
+    # sparse connected graph one vertex above the limit: the package takes
+    # the flow search, and the bitmask loop (2^20 sets) cross-checks it
+    n = density.EXHAUSTIVE_LIMIT + 1
+    g = random_bounded_degree_graph(n, 3, seed=9, p=0.9)
+    assert len(g.connected_components()) == 1
+    num_e, den_e, _ = bitmask_loop_m1(g)
     seen = _spy_on_paths(monkeypatch)
     value, witness = max_one_density(g)
-    assert seen == {"_component_m1_exhaustive": [], "_component_m1_flow": [18]}
+    assert seen == {"_component_m1_exhaustive": [], "_component_m1_flow": [n]}
     assert value == Fraction(num_e, den_e)
     w = g.induced(list(witness))
     assert Fraction(w.num_edges(), w.n - 1) == value
+
+
+def bitmask_loop_m1(g):
+    """Best (e, v-1, mask) by one pure-Python loop over the masks in increasing order.
+
+    S comes after S - u for its least vertex u, so e(S) = e(S - u) +
+    |N(u) in S - u|; only a strictly larger ratio replaces the best, so
+    ties keep the smallest mask.
+    """
+    best_num, best_den, best_mask = 0, 1, 0
+    adj = g.adj
+    edges = [0] * (1 << g.n)
+    for mask in range(1, 1 << g.n):
+        low = mask & -mask
+        rest = mask ^ low
+        e = edges[mask] = edges[rest] + (adj[low.bit_length() - 1] & rest).bit_count()
+        if rest and e * best_den > best_num * (mask.bit_count() - 1):
+            best_num, best_den, best_mask = e, mask.bit_count() - 1, mask
+    return best_num, best_den, best_mask
+
+
+def test_subset_scan_equals_the_bitmask_loop_on_the_catalog():
+    for g in connected_catalog(8):
+        if g.n >= 2:
+            assert _component_m1_exhaustive(g) == bitmask_loop_m1(g), sorted(g.edges)
+
+
+def _random_connected_graph(n, p, seed):
+    """A random tree (each vertex joined to an earlier one) plus each other pair with probability p."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for v in range(n) for u in range(v) if rng.random() < p}
+    return Graph(n, edges)
+
+
+def test_subset_scan_equals_the_bitmask_loop_up_to_the_limit():
+    for n in range(9, density.EXHAUSTIVE_LIMIT + 1):
+        for seed, p in enumerate((0.1, 0.3, 0.6)):
+            g = _random_connected_graph(n, p, 1000 * n + seed)
+            assert _component_m1_exhaustive(g) == bitmask_loop_m1(g), (n, p)
+
+
+def test_subset_scan_refuses_a_component_above_the_limit():
+    # a cycle allocates nothing: the size check comes before any array
+    with pytest.raises(InternalInvariantError):
+        _component_m1_exhaustive(cycle_graph(density.EXHAUSTIVE_LIMIT + 1))
+
+
+def test_subset_scan_of_an_edgeless_graph():
+    assert _component_m1_exhaustive(Graph(5, [])) == (0, 1, 0)
+
+
+def test_subset_scan_peak_allocation_at_the_limit():
+    # EXHAUSTIVE_LIMIT's comment caps the scan's transient arrays at 16 MB
+    g = cycle_graph(density.EXHAUSTIVE_LIMIT)
+    tracemalloc.start()
+    try:
+        assert _component_m1_exhaustive(g) == (g.n, g.n - 1, (1 << g.n) - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000, peak
 
 
 def test_ties_go_to_the_smallest_bitmask():

@@ -2,8 +2,10 @@ import networkx as nx
 import pytest
 
 from conftest import nx_graph, random_graph
+from spanembed import graphs
 from spanembed.errors import InvalidArgumentError
 from spanembed.graphs import (
+    GRAPH_MAX_N,
     Graph,
     bits,
     blow_up,
@@ -108,6 +110,19 @@ def test_parse_errors():
     for text, line in (("n 2\n0 5\n", 2), ("n 3\n# loop\n1 1\n", 3), ("n 3\n0 -1\n", 2)):
         with pytest.raises(InvalidArgumentError, match=f"line {line}: edge"):
             parse_graph(text)
+
+
+def test_header_count_above_the_cap_is_refused_before_building(monkeypatch):
+    # header-only texts: the count is refused at its line and no Graph is made
+    monkeypatch.setattr(graphs, "Graph", None)
+    for text, line, n in ((f"n {GRAPH_MAX_N + 1}\n", 1, GRAPH_MAX_N + 1),
+                          ("# huge\nn 10000000000000\n", 2, 10**13)):
+        with pytest.raises(InvalidArgumentError,
+                           match=f"line {line}: n {n} is above the cap {GRAPH_MAX_N}"):
+            parse_graph(text)
+    with pytest.raises(InvalidArgumentError, match="line 1: n 4 is above the cap 3"):
+        parse_graph("n 4\n", max_n=3)
+    assert int_pairs("n 3\n0 1\n", "n", 3) == (3, [(2, 0, 1)])
 
 
 def test_records_and_integer_pairs():

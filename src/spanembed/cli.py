@@ -37,7 +37,7 @@ from .errors import (
     PartitionFailedError,
     UnsupportedSizeError,
 )
-from .graphs import complete_graph, disjoint_union, int_pairs, read_graph, records
+from .graphs import GRAPH_MAX_N, complete_graph, disjoint_union, int_pairs, read_graph, records
 from .partition import clique_factor, equitable_coloring, format_partition
 from .pipeline import (
     RGAConfig,
@@ -255,6 +255,10 @@ def cmd_pipeline(args) -> int:
     c = config_value(conf, "C", lambda v: check_count("C", int(v)), 8)
     trials = config_value(conf, "trials", lambda v: check_count("trials", int(v)), 200)
     seed = config_value(conf, "seed", lambda v: check_seed(int(v)), 0)
+    if r * m > GRAPH_MAX_N:
+        key = next(k for k in ("m", "r", "delta") if k in conf)
+        raise InvalidArgumentError(f"line {conf[key][0]}: a host of r*m = {r}*{m} vertices "
+                                   f"is above the cap {GRAPH_MAX_N}")
     blocks = r // (delta + 1)
     rgraph = disjoint_union(*[complete_graph(delta + 1) for _ in range(blocks)])
     host = generate_regular_host(rgraph, rgraph, m, d, seed)
@@ -308,8 +312,8 @@ def cmd_scan(args) -> int:
     if host_name in _HOSTS:
         host = _HOSTS[host_name](n, seed)
     elif host_name.startswith("min-degree:"):
-        min_degree = config_value(conf, "host", lambda v: int(v.split(":", 1)[1]))
-        host = random_min_degree_host(n, min_degree, seed)
+        host = config_value(conf, "host",
+                            lambda v: random_min_degree_host(n, int(v.split(":", 1)[1]), seed))
     else:
         host = read_graph(host_name, SCAN_MAX_N)
         if "n" in conf and n != host.n:

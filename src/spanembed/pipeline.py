@@ -39,12 +39,11 @@ from .errors import (
 )
 from .graphs import Graph, bits, blow_up, clique_component_size
 from .partition import closed_second_neighborhood, distance_power_graph, equitable_coloring
-from .regularity import RegPairParams, check_regular_pair, check_super_regular_pair
+from .regularity import CERTIFIED, RegPairParams, check_regular_pair, check_super_regular_pair
 from .seeds import block_integers, check_seed, count_trials, fresh_seed, np_rng, py_rng
 from .spread import FBInstance, FBParams, SpreadEstimate, sample_spread_matching
 from .switching import PartialEmbedding, switching_embed
 
-REFUTER_TRIALS = 100        # regularity-refuter trials per host pair
 HOST_ATTEMPTS = 10          # host draws before generation gives up
 SWITCH_ATTEMPTS = 20        # switching-embedder runs per pattern partition
 MAX_RESAMPLES = 8           # coupled-sampler redraws per buffer part
@@ -136,10 +135,12 @@ def generate_regular_host(r_graph: Graph, rprime: Graph, m: int, d: float,
 
     Cross-edges appear independently with probability 2d on R'-pairs and
     d on the remaining R-pairs, giving super-regular pairs generous
-    degree slack.  Every pair must then survive verification at
-    eps = 4/sqrt(m): per-vertex minimum degree (d - eps) m on R'-pairs
-    and the randomized regularity refuter on all R-pairs.  Failed
-    attempts resample with a fresh child seed, up to HOST_ATTEMPTS times.
+    degree slack.  Every pair must then be certified at eps = 4/sqrt(m):
+    per-vertex minimum degree (d - eps) m on R'-pairs and the spectral
+    regularity certificate on all R-pairs.  A pair drawn at edge
+    probability 1 always certifies; at 0.6 the certificate's reach ends
+    near m = 250.  Failed attempts resample with a fresh child seed, up
+    to HOST_ATTEMPTS times.
     """
     check_cluster_size(m)
     check_density(d)
@@ -147,9 +148,8 @@ def generate_regular_host(r_graph: Graph, rprime: Graph, m: int, d: float,
     r = r_graph.n
     n = r * m
     eps = 4.0 / math.sqrt(m)
-    params = RegPairParams(min(eps, 1.0), d)
+    params = RegPairParams(eps, d)
     master = py_rng(seed)
-    last_witness = None
 
     for _ in range(HOST_ATTEMPTS):
         rng = np_rng(fresh_seed(master))
@@ -163,16 +163,14 @@ def generate_regular_host(r_graph: Graph, rprime: Graph, m: int, d: float,
         host = PartitionedHost(Graph(n, edges), r_graph, rprime, HostParams(eps, d))
         for i, j in sorted(r_graph.edges):
             check = check_super_regular_pair if (i, j) in rprime.edges else check_regular_pair
-            verdict = check(host.g, host.clusters[i], host.clusters[j], params,
-                            trials=REFUTER_TRIALS, seed=fresh_seed(master))
-            if verdict.refuted:
-                last_witness = (verdict.witness_a, verdict.witness_b)
+            verdict = check(host.g, host.clusters[i], host.clusters[j], params)
+            if verdict.kind != CERTIFIED:
                 break
         else:
             return host
     raise GenerationFailedError(
-        f"host verification failed in {HOST_ATTEMPTS} attempts", witness=last_witness
-    )
+        f"host verification failed in {HOST_ATTEMPTS} attempts: pair ({i},{j}) "
+        f"{verdict.kind}, {verdict.detail}", witness=(verdict.witness_a, verdict.witness_b))
 
 
 # -- partitioned pattern -----------------------------------------------

@@ -8,13 +8,19 @@ d-versus-(d-eps) reading say so in their names.
 
 Deciding regularity is co-exponential, so part size picks the method.
 A pair whose parts both have at most EXACT_LIMIT = 14 vertices is
-decided exactly from the degrees of A into every qualifying B'; a
-larger pair goes to a randomized refuter that samples qualifying
-sub-pairs and can only ever refute or stay inconclusive.
+decided exactly from the degrees of A into every qualifying B'.  A
+larger pair is refuted only by its base density; otherwise it gets the
+singular-value certificate of Alon, Duke, Lefmann, Rodl and Yuster
+(1994): with M the pair's biadjacency matrix minus its density d0,
+every sub-pair has |e(A',B') - d0|A'||B'|| <= ||M||_2 sqrt(|A'||B'|),
+so one spectral norm below eps sqrt(|A'||B'|) at the smallest
+qualifying sides certifies every sub-pair at once.  A larger norm
+proves nothing, and the pair stays inconclusive.  Nothing is sampled.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -22,7 +28,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .graphs import Graph, mask_of, subset_rows
-from .seeds import py_rng
 
 EXACT_LIMIT = 14
 
@@ -77,25 +82,19 @@ def density(g: Graph, a_side: Iterable[int], b_side: Iterable[int]) -> float:
     return edge_count(g, aa, mask_of(bb)) / (len(aa) * len(bb))
 
 
-def check_regular_pair(
-    g: Graph,
-    a_side: Iterable[int],
-    b_side: Iterable[int],
-    params: RegPairParams,
-    trials: int = 200,
-    seed: int = 0,
-) -> PairVerdict:
+def check_regular_pair(g: Graph, a_side: Iterable[int], b_side: Iterable[int],
+                       params: RegPairParams) -> PairVerdict:
     """Certify, refute, or stay inconclusive about (eps,d)-regularity.
 
     A pair whose parts both have at most EXACT_LIMIT vertices is decided
     exactly: it is certified, or refuted with a witness.  A larger pair
-    goes to the refuter, which samples ``trials`` random qualifying
-    sub-pairs and returns either a refutation or inconclusive.
+    is refuted only by its base density; otherwise the spectral
+    certificate certifies it or leaves it inconclusive.
     """
     aa, bb = _check_sides(g, a_side, b_side)
     if len(aa) <= EXACT_LIMIT and len(bb) <= EXACT_LIMIT:
         return _check_exact(g, aa, bb, params)
-    return _check_refute(g, aa, bb, params, trials, seed)
+    return _check_spectral(g, aa, bb, params)
 
 
 def _base_density_refutation(g, aa, bb, params):
@@ -142,35 +141,29 @@ def _check_exact(g: Graph, aa: list[int], bb: list[int], params: RegPairParams) 
     return PairVerdict(REFUTED, wa, wb, detail="sub-pair density deviates")
 
 
-def _check_refute(g, aa, bb, params, trials, seed) -> PairVerdict:
+def _check_spectral(g: Graph, aa: list[int], bb: list[int], params: RegPairParams) -> PairVerdict:
+    """Certified iff ||M||_2 < eps sqrt(ka kb) (1 - 1e-9), M = A - d0 J; else inconclusive.
+
+    ka and kb are the smallest sides subset_rows counts as qualifying, so
+    this and the exact check read |A'| >= eps|A| alike; the margin covers
+    LAPACK's backward error.  The SVD costs O(|A||B| min(|A|,|B|)): a
+    whole check took 0.3-0.7, 0.9-1.5, 4, 19-21 and 137-150 ms on square
+    pairs of 60, 100, 200, 400 and 800 per side (2-core VM), against 3.2,
+    4.7, 9, 19 and 37-54 ms for the 100-sample refuter it replaced.
+    """
     e0, bad = _base_density_refutation(g, aa, bb, params)
     if bad:
         return bad
     na, nb = len(aa), len(bb)
-    d0 = e0 / (na * nb)
-    lo_a = max(1, int(np.ceil(params.eps * na)))
-    lo_b = max(1, int(np.ceil(params.eps * nb)))
-    rng = py_rng(seed)
-    for _ in range(trials):
-        ka = rng.randint(lo_a, na)
-        kb = rng.randint(lo_b, nb)
-        sub_a = rng.sample(aa, ka)
-        sub_b = rng.sample(bb, kb)
-        e = edge_count(g, sub_a, mask_of(sub_b))
-        if abs(e / (ka * kb) - d0) > params.eps:
-            return PairVerdict(REFUTED, tuple(sorted(sub_a)), tuple(sorted(sub_b)),
-                               detail="sampled sub-pair density deviates")
-    return PairVerdict(INCONCLUSIVE, detail=f"no refutation in {trials} samples")
+    sub = g.adjacency_matrix()[np.ix_(aa, bb)]
+    norm = float(np.linalg.norm(sub - e0 / (na * nb), 2))
+    bound = params.eps * math.sqrt(math.ceil(params.eps * na) * math.ceil(params.eps * nb))
+    kind = CERTIFIED if norm < bound * (1 - 1e-9) else INCONCLUSIVE
+    return PairVerdict(kind, detail=f"spectral norm {norm:.4f} against bound {bound:.4f}")
 
 
-def check_super_regular_pair(
-    g: Graph,
-    a_side: Iterable[int],
-    b_side: Iterable[int],
-    params: RegPairParams,
-    trials: int = 200,
-    seed: int = 0,
-) -> PairVerdict:
+def check_super_regular_pair(g: Graph, a_side: Iterable[int], b_side: Iterable[int],
+                             params: RegPairParams) -> PairVerdict:
     """Minimum-degree conditions on both sides, then delegate to regularity.
 
     Every vertex needs at least (d - eps) |other side| neighbours across
@@ -187,4 +180,4 @@ def check_super_regular_pair(
     for b in bb:
         if (g.adj[b] & mask_a).bit_count() < need_a:
             return PairVerdict(REFUTED, tuple(aa), (b,), detail="vertex degree below (d-eps)|A|")
-    return check_regular_pair(g, aa, bb, params, trials=trials, seed=seed)
+    return check_regular_pair(g, aa, bb, params)

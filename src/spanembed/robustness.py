@@ -543,8 +543,8 @@ def unbalanced_multipartite_host(n: int, delta: int) -> Graph:
 
 def random_min_degree_host(n: int, min_degree: int, seed: int) -> Graph:
     """Near-extremal host: delete random edges from K_n while min degree holds."""
-    if min_degree > n - 1:
-        raise InvalidArgumentError(f"min degree {min_degree} impossible on {n} vertices")
+    if not 0 <= min_degree <= n - 1:
+        raise InvalidArgumentError(f"min degree {min_degree} outside [0, {n - 1}] on {n} vertices")
     rng = py_rng(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(edges)

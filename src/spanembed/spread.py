@@ -45,7 +45,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graphs import int_pairs, subset_rows
+from .graphs import GRAPH_MAX_N, int_pairs, subset_rows
 from .matching import UNMATCHED, bipartite_matching, hall_check
 from .seeds import count_trials, fresh_seed, np_rng, py_rng
 from .tailbounds import confidence_radius
@@ -383,9 +383,10 @@ def estimate_matching_spread(f: FBInstance, c: int, s_edges: Iterable[BipEdge],
 def parse_fb_instance(text: str, params: FBParams) -> FBInstance:
     """Read `bipartite lam` then `a b` lines with sides [0,lam) and [lam,2lam).
 
-    An edge outside the side ranges or given twice is invalid input at its line.
+    An edge outside the side ranges or given twice is invalid input at its
+    line, and so is a side size above GRAPH_MAX_N // 2, before anything is built.
     """
-    lam, pairs = int_pairs(text, "bipartite")
+    lam, pairs = int_pairs(text, "bipartite", GRAPH_MAX_N // 2)
     line_of: dict[BipEdge, int] = {}
     for lineno, a, b in pairs:
         if not (0 <= a < lam <= b < 2 * lam):

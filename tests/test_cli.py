@@ -292,7 +292,7 @@ def test_scan_thm91_default_gamma_host_is_not_complete(monkeypatch):
         assert scans[-1].host.num_edges() < n * (n - 1) // 2, n
 
 
-def test_unknown_event_is_exit_2(files):
+def test_unknown_event_is_exit_2(files, capsys):
     write, _ = files
     params = FBParams(d=0.8, b=1, rho=0.1, mu=0.25, delta=2)
     inst = FBInstance(4, [(a, b) for a in range(4) for b in range(4)], params)
@@ -306,6 +306,12 @@ def test_unknown_event_is_exit_2(files):
     for text in ("bipartite x\n", "bipartite 2\n0 b\n", "bipartite 2\n0\n"):
         bad = write("bad.txt", text)
         assert main(["spread-matching", "--instance", bad]) == 2
+    # a side size past half the graph vertex cap is refused at its header, before any array
+    capsys.readouterr()
+    huge = write("huge.txt", "bipartite 10000000000000\n0 10000000000000\n")
+    assert main(["spread-matching", "--instance", huge]) == 2
+    assert (f"line 1: bipartite 10000000000000 is above the cap {GRAPH_MAX_N // 2}"
+            in capsys.readouterr().err)
 
 
 def test_spread_matching_checks_every_event_before_drawing(files, capsys, monkeypatch):
@@ -372,6 +378,18 @@ def test_bad_config_is_exit_2(files, capsys):
         ("scan", scan.replace("seed 3", "seed -1"), "line 5: seed must fit"),
         ("pipeline", pipe.replace("delta 2", "delta 0"), "line 1: delta must be >= 1, got 0"),
         ("pipeline", pipe.replace("r 3", "r 4"), "line 4: r = 4 must be a multiple of delta+1"),
+        # a host above the graph vertex cap is refused before anything is built
+        ("pipeline", pipe.replace("m 20", "m 100000000"),
+         f"line 3: a host of r*m = 3*100000000 vertices is above the cap {GRAPH_MAX_N}"),
+        ("pipeline", pipe.replace("m 20", "m 3334"), "line 3: a host of r*m = 3*3334 vertices"),
+        ("pipeline", pipe.replace("m 20\n", "").replace("r 3", "r 252"),
+         "line 3: a host of r*m = 252*40 vertices"),
+        # a scan host's minimum degree lies in [0, n-1]
+        ("scan", scan.replace("dirac-overlap", "min-degree:-3"),
+         "line 1: min degree -3 outside [0, 15] on 16 vertices"),
+        ("scan", scan.replace("dirac-overlap", "min-degree:16"),
+         "line 1: min degree 16 outside [0, 15] on 16 vertices"),
+        ("scan", scan.replace("dirac-overlap", "min-degree:x"), "line 1: bad value"),
     ]:
         cfg = write("bad.cfg", text)
         assert main([command, "--config", cfg]) == 2, (command, text)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import networkx as nx
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.stats import chi2
 from conftest import nx_graph
 from spanembed.errors import (
     EstimateUnreliableError,
+    GenerationFailedError,
     InternalInvariantError,
     InvalidArgumentError,
 )
@@ -27,7 +29,7 @@ from spanembed.pipeline import (
     run_pipeline_once,
     _validate_full_embedding,
 )
-from spanembed.regularity import RegPairParams, check_super_regular_pair, INCONCLUSIVE
+from spanembed.regularity import CERTIFIED, RegPairParams, check_super_regular_pair
 from spanembed.robustness import clique_factor_pattern, perfect_matching_pattern
 from spanembed.seeds import child_seed, fresh_seed, py_rng
 from spanembed.spread import check_fb_conditions
@@ -55,10 +57,9 @@ def triangle_setup(m=25, seed=2, alpha=0.3, d=0.5):
 def test_generate_single_edge_host_is_super_regular():
     host = generate_regular_host(K2, K2, m=50, d=0.5, seed=1)
     assert [len(c) for c in host.clusters] == [50, 50]
-    params = RegPairParams(min(1.0, host.params.eps), host.params.d)
-    verdict = check_super_regular_pair(host.g, host.clusters[0], host.clusters[1],
-                                       params, trials=300, seed=9)
-    assert verdict.kind == INCONCLUSIVE  # min-degree passed, refuter silent
+    params = RegPairParams(host.params.eps, host.params.d)
+    verdict = check_super_regular_pair(host.g, host.clusters[0], host.clusters[1], params)
+    assert verdict.kind == CERTIFIED  # min-degree passed, spectral norm 0 at edge probability 1
 
 
 def test_generate_triangle_host():
@@ -72,6 +73,18 @@ def test_generate_regular_only_pair_skips_min_degree():
     host = generate_regular_host(Graph(2, [(0, 1)]), rp, m=30, d=0.3, seed=5)
     dens = host.g.num_edges() / (30 * 30)
     assert 0.15 < dens < 0.45
+
+
+def test_generate_host_past_the_certificate_reach_fails_naming_the_pair():
+    # at edge probability 1/2 and m = 350 the spectral norm is near sqrt(m) = 18.7,
+    # above the bound 4/sqrt(m) * ceil(4 sqrt(m)) = 16.04: no attempt certifies
+    with pytest.raises(GenerationFailedError) as exc:
+        generate_regular_host(K2, Graph(2, []), m=350, d=0.5, seed=0)
+    found = re.search(r"pair \(0,1\) inconclusive, spectral norm ([\d.]+) against bound ([\d.]+)",
+                      str(exc.value))
+    norm, bound = map(float, found.groups())
+    assert bound == pytest.approx(4 / math.sqrt(350) * 75, abs=1e-4)
+    assert norm > 1.05 * bound
 
 
 def test_generate_host_validates_arguments():

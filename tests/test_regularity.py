@@ -12,6 +12,8 @@ from spanembed.regularity import (
     INCONCLUSIVE,
     REFUTED,
     RegPairParams,
+    _check_exact,
+    _check_spectral,
     check_regular_pair,
     check_super_regular_pair,
     density,
@@ -166,28 +168,48 @@ def test_witness_deviates_most_when_a_violation_sits_on_eps():
     assert_witness_refutes(g, aa, bb, 0.35, 0.1, v)
 
 
-def test_part_size_picks_exact_check_or_refuter():
+def test_part_size_picks_exact_check_or_certificate():
     # parts of at most 14 are decided exactly; a larger part on either
-    # side goes to the refuter, which can never certify
+    # side goes to the spectral certificate, which a complete pair passes
     kb = blow_up(complete_graph(2), [14, 14])
-    assert check_regular_pair(kb, range(14), range(14, 28),
-                              RegPairParams(0.3, 0.5)).kind == CERTIFIED
+    v = check_regular_pair(kb, range(14), range(14, 28), RegPairParams(0.3, 0.5))
+    assert v.kind == CERTIFIED and v.detail == ""
     for na, nb in ((15, 5), (5, 15)):
         kb = blow_up(complete_graph(2), [na, nb])
         v = check_regular_pair(kb, range(na), range(na, na + nb), RegPairParams(0.3, 0.5))
-        assert v.kind == INCONCLUSIVE
+        assert v.kind == CERTIFIED and v.detail.startswith("spectral norm 0.0000")
 
 
-def test_refute_mode_finds_witness_or_stays_quiet():
+def test_certificate_certifies_or_stays_inconclusive():
+    # I - J/20 has spectral norm 1 > 0.1 * sqrt(2 * 2): proves nothing, refutes nothing
+    aa, bb = list(range(20)), list(range(20, 40))
     g = bipartite_graph(20, 20, [(i, i) for i in range(20)])
-    v = check_regular_pair(g, range(20), range(20, 40), RegPairParams(0.1, 0.05),
-                           trials=400, seed=3)
-    assert v.kind == REFUTED
-    assert_witness_refutes(g, list(range(20)), list(range(20, 40)), 0.1, 0.05, v)
+    v = check_regular_pair(g, aa, bb, RegPairParams(0.1, 0.05))
+    assert v.kind == INCONCLUSIVE and v.witness_a is None
+    assert v.detail == "spectral norm 1.0000 against bound 0.2000"
     kb = blow_up(complete_graph(2), [20, 20])
-    v = check_regular_pair(kb, range(20), range(20, 40), RegPairParams(0.2, 0.9),
-                           trials=200, seed=3)
-    assert v.kind == INCONCLUSIVE
+    assert check_regular_pair(kb, aa, bb, RegPairParams(0.2, 0.9)).kind == CERTIFIED
+    # the base density still refutes a large pair, with the whole pair as witness
+    v = check_regular_pair(Graph(40, []), aa, bb, RegPairParams(0.2, 0.5))
+    assert v.kind == REFUTED
+    assert_witness_refutes(Graph(40, []), aa, bb, 0.2, 0.5, v)
+
+
+def test_certificate_never_certifies_what_the_exact_check_refutes():
+    # random pairs with sides 2..14 through both deciders: the certificate is sound
+    rng = np.random.default_rng(2026)
+    kinds = []
+    for _ in range(4000):
+        na, nb = rng.integers(2, 15, size=2)
+        block = rng.random((na, nb)) < rng.random()
+        g = bipartite_graph(na, nb, [(a, b) for a, b in zip(*np.nonzero(block))])
+        aa, bb = list(range(na)), list(range(na, na + nb))
+        params = RegPairParams(float(rng.uniform(0.2, 1.0)), float(rng.uniform(0, 1)))
+        kinds.append((_check_spectral(g, aa, bb, params).kind,
+                      _check_exact(g, aa, bb, params).kind))
+    assert (CERTIFIED, REFUTED) not in kinds
+    assert kinds.count((CERTIFIED, CERTIFIED)) >= 500
+    assert sum(exact == CERTIFIED for _, exact in kinds) > kinds.count((CERTIFIED, CERTIFIED))
 
 
 def test_super_regular_examples():
@@ -201,21 +223,19 @@ def test_super_regular_examples():
 
 
 def test_generated_double_density_pairs_pass_super_regular_check():
-    # raw pairs sampled at density 2d almost always clear the min-degree
-    # floor (d - eps)|B| and leave the refuter silent
+    # raw pairs sampled at density 2d clear the min-degree floor (d - eps)|B|
+    # and the spectral certificate
     m, d = 24, 0.4
-    eps = 4 / math.sqrt(m)
-    params = RegPairParams(min(1.0, eps), d)
+    params = RegPairParams(4 / math.sqrt(m), d)
     rng = np.random.default_rng(17)
     passed = 0
     for _ in range(100):
         block = rng.random((m, m)) < 2 * d
         g = bipartite_graph(m, m, [(a, b) for a in range(m) for b in range(m)
                                    if block[a, b]])
-        verdict = check_super_regular_pair(g, range(m), range(m, 2 * m), params,
-                                           trials=60, seed=3)
-        passed += verdict.kind != REFUTED
-    assert passed >= 95
+        verdict = check_super_regular_pair(g, range(m), range(m, 2 * m), params)
+        passed += verdict.kind == CERTIFIED
+    assert passed == 100
 
 
 def test_regularity_robustness_under_small_alterations():

@@ -1,9 +1,12 @@
 """Simple undirected graphs on vertex set {0..n-1}.
 
 Graphs are immutable after construction and safe to share across
-threads.  Adjacency is kept both as per-vertex bitmasks (Python ints,
-fast set algebra) and as a lazily built numpy boolean matrix for the
-vectorized inner loops.
+threads.  A graph stores only its per-vertex adjacency bitmasks
+(Python ints, fast set algebra).  The edge set and the numpy boolean
+matrix of the vectorized inner loops are derived from them on first
+use and cached.  Block graphs (blow-ups, generated hosts) arrive as
+boolean matrices, which are packed into the bitmasks and kept as the
+cached matrix, so they are never listed edge by edge.
 
 Text format, shared by every module and the CLI::
 
@@ -22,6 +25,8 @@ its number.
 
 from __future__ import annotations
 
+import operator
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -32,29 +37,43 @@ Edge = tuple[int, int]
 
 
 class Graph:
-    """Immutable simple graph: no loops, no parallel edges."""
+    """Immutable simple graph: no loops, no parallel edges.
 
-    __slots__ = ("n", "edges", "adj", "_adj_matrix", "_max_degree", "_components")
+    ``edges`` is either an iterable of vertex pairs, each edge in either
+    orientation and any number of times, or an n x n boolean matrix,
+    which must be symmetric with a false diagonal.  The matrix is kept
+    as a read-only view, not a copy, for ``adjacency_matrix()``, so it
+    must not be mutated after construction.
+    """
 
-    def __init__(self, n: int, edges: Iterable[Edge]):
+    __slots__ = ("n", "adj", "_edges", "_num_edges", "_adj_matrix", "_max_degree",
+                 "_components")
+
+    def __init__(self, n: int, edges: Iterable[Edge] | np.ndarray):
+        n = operator.index(n)
         if n < 0:
             raise InvalidArgumentError(f"vertex count must be nonnegative, got {n}")
         self.n = n
-        canon: set[Edge] = set()
-        adj = [0] * n
-        for u, v in edges:
-            if u == v:
-                raise InvalidArgumentError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidArgumentError(f"edge ({u},{v}) outside vertex range [0,{n})")
-            if u > v:
-                u, v = v, u
-            canon.add((u, v))
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        self.edges = frozenset(canon)
-        self.adj = tuple(adj)
-        self._adj_matrix = None
+        if isinstance(edges, np.ndarray):
+            self.adj, self._adj_matrix = _matrix_rows(n, edges)
+        else:
+            adj = [0] * n
+            for u, v in edges:
+                try:
+                    u, v = operator.index(u), operator.index(v)
+                except TypeError:
+                    raise InvalidArgumentError(
+                        f"edge ({u},{v}) has an endpoint that is not an integer") from None
+                if u == v:
+                    raise InvalidArgumentError(f"self-loop at vertex {u}")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InvalidArgumentError(f"edge ({u},{v}) outside vertex range [0,{n})")
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            self.adj = tuple(adj)
+            self._adj_matrix = None
+        self._edges = None
+        self._num_edges = None
         self._max_degree = None
         self._components = None
 
@@ -79,18 +98,33 @@ class Graph:
         return min((m.bit_count() for m in self.adj), default=0)
 
     def num_edges(self) -> int:
-        return len(self.edges)
+        """Edge count (cached)."""
+        if self._num_edges is None:
+            self._num_edges = sum(m.bit_count() for m in self.adj) // 2
+        return self._num_edges
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The edges as (u, v) pairs with u < v (built on first read, then cached)."""
+        if self._edges is None:
+            self._edges = frozenset(self.sorted_edges())
+        return self._edges
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        """The (u, v) pairs with u < v in ascending order, read off the rows."""
+        return [(u, v) for u, mask in enumerate(self.adj)
+                for v in bits(mask >> (u + 1) << (u + 1))]
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Boolean n x n adjacency matrix (cached)."""
+        """Read-only boolean n x n adjacency matrix, unpacked from the rows (cached)."""
         if self._adj_matrix is None:
-            m = np.zeros((self.n, self.n), dtype=bool)
-            for u, v in self.edges:
-                m[u, v] = m[v, u] = True
-            self._adj_matrix = m
+            n = self.n
+            width = (n + 7) // 8
+            packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in self.adj),
+                                   dtype=np.uint8).reshape(n, width)
+            mat = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+            mat.flags.writeable = False
+            self._adj_matrix = mat
         return self._adj_matrix
 
     # -- derived graphs -----------------------------------------------
@@ -108,11 +142,8 @@ class Graph:
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph, relabeled to {0..k-1} in the given vertex order."""
         idx = {v: i for i, v in enumerate(vertices)}
-        es = [
-            (idx[u], idx[v])
-            for u, v in self.edges
-            if u in idx and v in idx
-        ]
+        inside = mask_of(vertices)
+        es = [(i, idx[u]) for i, v in enumerate(vertices) for u in bits(self.adj[v] & inside)]
         return Graph(len(vertices), es)
 
     def ball(self, v: int, radius: int | None = None) -> int:
@@ -142,13 +173,31 @@ class Graph:
         return [list(c) for c in self._components]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={self.num_edges()})"
+
+
+def _matrix_rows(n: int, mat: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """The bitmask rows of an adjacency matrix, checked, and a read-only view of it."""
+    if mat.dtype != bool or mat.shape != (n, n):
+        raise InvalidArgumentError(
+            f"adjacency matrix must be {n}x{n} bool, got {mat.shape} {mat.dtype}")
+    loops = np.flatnonzero(mat.diagonal())
+    if loops.size:
+        raise InvalidArgumentError(f"self-loop at vertex {loops[0]}")
+    odd = np.argwhere(mat != mat.T)
+    if odd.size:
+        u, v = odd[0].tolist()
+        raise InvalidArgumentError(f"adjacency matrix is not symmetric at ({u},{v})")
+    view = mat.view()
+    view.flags.writeable = False
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row, "little") for row in packed), view
 
 
 def bits(mask: int) -> list[int]:
@@ -207,25 +256,19 @@ def path_graph(n: int) -> Graph:
 
 def blow_up(r_graph: Graph, sizes: Sequence[int]) -> Graph:
     """Replace node i by an independent set of sizes[i], edges by complete pairs."""
-    offsets = []
-    o = 0
-    for s in sizes:
-        offsets.append(o)
-        o += s
-    edges = []
-    for i, j in r_graph.edges:
-        edges.extend(
-            (offsets[i] + a, offsets[j] + b)
-            for a in range(sizes[i]) for b in range(sizes[j])
-        )
-    return Graph(o, edges)
+    ends = [0, *accumulate(sizes)]
+    mat = np.zeros((ends[-1], ends[-1]), dtype=bool)
+    for i, j in r_graph.sorted_edges():
+        mat[ends[i]:ends[i + 1], ends[j]:ends[j + 1]] = True
+        mat[ends[j]:ends[j + 1], ends[i]:ends[i + 1]] = True
+    return Graph(ends[-1], mat)
 
 
 def disjoint_union(*parts: Graph) -> Graph:
     n = 0
     es = []
     for g in parts:
-        es.extend((u + n, v + n) for u, v in g.edges)
+        es.extend((u + n, v + n) for u, v in g.sorted_edges())
         n += g.n
     return Graph(n, es)
 

@@ -153,14 +153,13 @@ def generate_regular_host(r_graph: Graph, rprime: Graph, m: int, d: float,
 
     for _ in range(HOST_ATTEMPTS):
         rng = np_rng(fresh_seed(master))
-        edges: list[tuple[int, int]] = []
+        mat = np.zeros((n, n), dtype=bool)
         for i, j in sorted(r_graph.edges):
             p = 2 * d if (i, j) in rprime.edges else d
             block = rng.random((m, m)) < p
-            us, vs = np.nonzero(block)
-            base_i, base_j = i * m, j * m
-            edges.extend(zip((us + base_i).tolist(), (vs + base_j).tolist()))
-        host = PartitionedHost(Graph(n, edges), r_graph, rprime, HostParams(eps, d))
+            mat[i * m:(i + 1) * m, j * m:(j + 1) * m] = block
+            mat[j * m:(j + 1) * m, i * m:(i + 1) * m] = block.T
+        host = PartitionedHost(Graph(n, mat), r_graph, rprime, HostParams(eps, d))
         for i, j in sorted(r_graph.edges):
             check = check_super_regular_pair if (i, j) in rprime.edges else check_regular_pair
             verdict = check(host.g, host.clusters[i], host.clusters[j], params)

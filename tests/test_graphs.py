@@ -1,4 +1,7 @@
+from itertools import accumulate
+
 import networkx as nx
+import numpy as np
 import pytest
 
 from conftest import nx_graph, random_graph
@@ -142,3 +145,89 @@ def test_adjacency_matrix_matches_edges():
     g = complete_graph(4)
     m = g.adjacency_matrix()
     assert m.sum() == 12 and not m.diagonal().any()
+
+
+def test_numpy_integer_endpoints_give_a_symmetric_graph():
+    # 1 << np.int64(70) wraps, so an uncoerced endpoint of 63 or more was lost
+    g = Graph(100, [(np.int64(1), np.int64(70)), (np.int32(63), np.uint8(64)), (np.int64(99), 0)])
+    assert g == Graph(100, [(1, 70), (63, 64), (0, 99)])
+    assert all(g.has_edge(u, v) and g.has_edge(v, u) for u, v in ((1, 70), (63, 64), (0, 99)))
+    assert all(type(row) is int for row in g.adj)
+    assert all(type(x) is int for e in g.sorted_edges() for x in e)
+    for bad in ((0, 1.0), (np.float64(0), 1), ("0", 1)):
+        with pytest.raises(InvalidArgumentError, match="not an integer"):
+            Graph(3, [bad])
+
+
+def _random_symmetric(n, p, seed):
+    """A seeded symmetric loop-free boolean matrix and its edges as shuffled, flipped pairs."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < p, 1)
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v)
+             for u, v in zip(*(a.tolist() for a in np.nonzero(upper)))]
+    rng.shuffle(pairs)
+    return upper | upper.T, pairs
+
+
+@pytest.mark.parametrize("n, p, seed", [
+    (0, 0.5, 0), (1, 0.5, 1), (2, 1.0, 2), (7, 0.4, 3), (63, 0.2, 4), (64, 0.5, 5),
+    (65, 0.1, 6), (130, 0.05, 7), (200, 0.9, 8)])
+def test_pair_and_matrix_constructions_agree(n, p, seed):
+    mat, pairs = _random_symmetric(n, p, seed)
+    want = {(u, v) for u in range(n) for v in range(u + 1, n) if mat[u, v]}
+    a, b = Graph(n, pairs), Graph(n, mat)
+    assert a._edges is None and b._edges is None          # no edge set until one is read
+    assert a == b and hash(a) == hash(b) and a.adj == b.adj
+    for g in (a, b):
+        assert g.edges == want
+        assert g.sorted_edges() == sorted(want)
+        assert g.num_edges() == len(want)
+        assert g.degrees() == mat.sum(axis=1).tolist()
+        m = g.adjacency_matrix()
+        assert m.dtype == bool and (m == mat).all() and not m.flags.writeable
+    assert b.adjacency_matrix().base is mat               # kept, not copied
+    assert mat.flags.writeable                            # the caller's array is left as it was
+
+
+def _blow_up_by_pairs(r_graph, sizes):
+    """Blow-up listed edge by edge, the construction ``blow_up`` replaced."""
+    ends = [0, *accumulate(sizes)]
+    return Graph(ends[-1], [(ends[i] + a, ends[j] + b) for i, j in r_graph.edges
+                            for a in range(sizes[i]) for b in range(sizes[j])])
+
+
+@pytest.mark.parametrize("r_graph, sizes", [
+    (complete_graph(3), [3, 3, 3]),
+    (cycle_graph(5), [1, 4, 0, 2, 70]),
+    (path_graph(2), [40, 30]),
+    (Graph(3, []), [2, 2, 2]),
+    (complete_graph(1), [5]),
+    (Graph(0, []), []),
+])
+def test_blow_up_equals_the_edge_list_construction(r_graph, sizes):
+    g = blow_up(r_graph, sizes)
+    want = _blow_up_by_pairs(r_graph, sizes)
+    assert g == want and g.sorted_edges() == want.sorted_edges()
+
+
+def test_blow_up_of_random_reduced_graphs():
+    for seed in range(10):
+        r_graph = random_graph(6, 0.5, seed)
+        sizes = [(seed * 7 + i * 3) % 11 for i in range(6)]
+        assert blow_up(r_graph, sizes) == _blow_up_by_pairs(r_graph, sizes), seed
+
+
+def test_matrix_refusals():
+    square = np.zeros((3, 3), dtype=bool)
+    looped = square.copy()
+    looped[1, 1] = True
+    one_way = square.copy()
+    one_way[0, 2] = True
+    for mat, match in ((np.zeros((3, 4), dtype=bool), "must be 3x3 bool"),
+                       (np.zeros((4, 4), dtype=bool), "must be 3x3 bool"),
+                       (np.zeros(9, dtype=bool), "must be 3x3 bool"),
+                       (np.zeros((3, 3), dtype=np.int8), "must be 3x3 bool"),
+                       (looped, "self-loop at vertex 1"),
+                       (one_way, r"not symmetric at \(0,2\)")):
+        with pytest.raises(InvalidArgumentError, match=match):
+            Graph(3, mat)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -73,6 +74,20 @@ def test_generate_regular_only_pair_skips_min_degree():
     host = generate_regular_host(Graph(2, [(0, 1)]), rp, m=30, d=0.3, seed=5)
     dens = host.g.num_edges() / (30 * 30)
     assert 0.15 < dens < 0.45
+
+
+def test_host_generation_peak_allocation():
+    # the host arrives as one 600 x 600 boolean matrix, never as an edge list:
+    # traced peak 0.93 MB; listing the 120,000 cross edges as tuples peaked at 28 MB
+    tracemalloc.start()
+    try:
+        host = generate_regular_host(K3, K3, m=200, d=0.5, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+    assert host.g.n == 600 and host.g.num_edges() == 3 * 200 * 200
+    assert host.g._edges is None
 
 
 def test_generate_host_past_the_certificate_reach_fails_naming_the_pair():

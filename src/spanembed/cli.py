@@ -83,7 +83,7 @@ EXIT_TIMEOUT_SCAN = 4
 
 PIPELINE_KEYS = ("delta", "d", "m", "r", "mu", "C", "trials", "seed")
 SCAN_KEYS = ("n", "seed", "host", "pattern", "pgrid", "trials", "budget")
-SCAN_MAX_N = 2000   # a complete host on 2000 vertices plus a 2-trial scan peaks at 516 MB
+SCAN_MAX_N = 2000   # a complete host on 2000 vertices plus a 2-trial scan peaks at 140 MB
 
 
 def parse_config(path: str, keys: tuple[str, ...]) -> dict[str, tuple[int, str]]:
@@ -130,7 +130,7 @@ def _clique_multiple(r: int, delta: int) -> int:
 
 
 def _scan_size(n: int) -> int:
-    """``n`` itself if it lies in [1, SCAN_MAX_N]: a scan host is built edge by edge."""
+    """``n`` itself if it lies in [1, SCAN_MAX_N]: a scan holds an index per host edge."""
     check_count("n", n)
     if n > SCAN_MAX_N:
         raise InvalidArgumentError(f"n must be <= {SCAN_MAX_N}, got {n}")
@@ -260,7 +260,7 @@ def cmd_pipeline(args) -> int:
         raise InvalidArgumentError(f"line {conf[key][0]}: a host of r*m = {r}*{m} vertices "
                                    f"is above the cap {GRAPH_MAX_N}")
     blocks = r // (delta + 1)
-    rgraph = disjoint_union(*[complete_graph(delta + 1) for _ in range(blocks)])
+    rgraph = disjoint_union(*[complete_graph(delta + 1)] * blocks)
     host = generate_regular_host(rgraph, rgraph, m, d, seed)
     pattern = partition_pattern(clique_factor_pattern(r * m, delta + 1), host, None,
                                 alpha=cfg.mu, seed=child_seed(seed, 1))

@@ -4,9 +4,9 @@ Graphs are immutable after construction and safe to share across
 threads.  A graph stores only its per-vertex adjacency bitmasks
 (Python ints, fast set algebra).  The edge set and the numpy boolean
 matrix of the vectorized inner loops are derived from them on first
-use and cached.  Block graphs (blow-ups, generated hosts) arrive as
-boolean matrices, which are packed into the bitmasks and kept as the
-cached matrix, so they are never listed edge by edge.
+use and cached.  Block graphs (complete graphs, blow-ups, generated
+hosts) arrive as boolean matrices, which are packed into the bitmasks
+and kept as the cached matrix, so they are never listed edge by edge.
 
 Text format, shared by every module and the CLI::
 
@@ -241,7 +241,7 @@ def subset_rows(n: int, floor: float) -> np.ndarray:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph(n, ~np.eye(max(n, 0), dtype=bool))   # Graph refuses a negative n
 
 
 def cycle_graph(n: int) -> Graph:

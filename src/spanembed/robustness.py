@@ -3,8 +3,8 @@
 G(p) keeps the host edges whose uniform lies below p.  ``nested_gp``
 draws it for a whole p-grid from one trial seed, so the kept edge sets
 are nested and containment is exactly monotone along the grid: a trial
-sorts its uniforms once, and each G(p) is a prefix of that edge order,
-built when the scan asks for that point.  ``sample_gp`` is its
+draws one uniform per host edge once, and each G(p) is built from its
+own edges when the scan asks for that point.  ``sample_gp`` is its
 one-point case.  A threshold scan bisects each trial's grid for its
 first YES point and infers the verdicts on either side of it
 (Bollobás and Thomason 1987: containment is monotone along a coupled
@@ -73,41 +73,41 @@ SCAN_COLUMNS = ("kind", "p", "trials", "successes", "timeouts",
                 "fraction", "wilson_lo", "wilson_hi", "flag")
 
 
-def nested_gp(n: int, edges: Sequence[tuple[int, int]], grid: Sequence[float],
-              seed: int) -> Sequence[Graph]:
-    """One trial's G(p) for each p of the ascending ``grid``, on ``n`` vertices.
+def nested_gp(n: int, edges: Sequence[tuple[int, int]] | np.ndarray,
+              grid: Sequence[float], seed: int) -> Sequence[Graph]:
+    """One trial's G(p) for each p of ``grid``, on ``n`` vertices.
 
-    ``edges`` are the host edges in sorted order, one uniform each; G(p)
-    is the prefix of them ranked by uniform that ``searchsorted`` counts.
-    The uniforms are drawn and sorted once; each grid point's graph is
-    built when it is indexed, in any order.
+    ``edges`` are the host edges in sorted order, as pairs or an (E, 2)
+    array, and draw one uniform each; G(p) keeps the edges whose uniform
+    is strictly below p.  Each grid point's graph is built from its own
+    edges when it is indexed, in any order.
     """
-    uniforms = np_rng(seed).random(len(edges))
-    order = np.argsort(uniforms)
-    ranked = [edges[i] for i in order.tolist()]
-    return _Prefixes(n, ranked, np.searchsorted(uniforms[order], grid).tolist())
+    for p in grid:
+        if not 0.0 <= p <= 1.0:    # NaN too
+            raise InvalidArgumentError(f"p must lie in [0,1], got {p}")
+    edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    return _Below(n, edges, np_rng(seed).random(len(edges)), grid)
 
 
-class _Prefixes(Sequence[Graph]):
-    """The graphs on ``n`` vertices whose edges are ``ranked[:cut]``, one per cut."""
+class _Below(Sequence[Graph]):
+    """The graphs on ``n`` vertices of the ``edges`` whose uniform lies below each p."""
 
-    __slots__ = ("n", "ranked", "cuts")
+    __slots__ = ("n", "edges", "uniforms", "grid")
 
-    def __init__(self, n: int, ranked: list[tuple[int, int]], cuts: list[int]):
-        self.n, self.ranked, self.cuts = n, ranked, cuts
+    def __init__(self, n: int, edges: np.ndarray, uniforms: np.ndarray,
+                 grid: Sequence[float]):
+        self.n, self.edges, self.uniforms, self.grid = n, edges, uniforms, grid
 
     def __len__(self) -> int:
-        return len(self.cuts)
+        return len(self.grid)
 
     def __getitem__(self, i: int) -> Graph:
-        return Graph(self.n, self.ranked[:self.cuts[i]])
+        return Graph(self.n, zip(*self.edges[self.uniforms < self.grid[i]].T.tolist()))
 
 
 def sample_gp(g: Graph, p: float, seed: int) -> Graph:
     """Spanning random subgraph keeping each edge independently with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise InvalidArgumentError(f"p must lie in [0,1], got {p}")
-    return nested_gp(g.n, g.sorted_edges(), (p,), seed)[0]
+    return nested_gp(g.n, np.argwhere(np.triu(g.adjacency_matrix(), 1)), (p,), seed)[0]
 
 
 # -- exact spanning containment ----------------------------------------
@@ -430,7 +430,7 @@ def threshold_scan(scan: ThresholdScan) -> list[ScanRow]:
     by one; a decrease among the verdicts a trial computes is a hard
     error.  Timeouts beyond 20% of trials flag the row as unreliable.
     """
-    edges = scan.host.sorted_edges()
+    edges = np.argwhere(np.triu(scan.host.adjacency_matrix(), 1))   # row-major: sorted pairs
 
     def verdict_kinds(trial_seed: int) -> list[str]:
         gps = nested_gp(scan.host.n, edges, scan.p_grid, trial_seed)
@@ -521,10 +521,10 @@ def dirac_overlap_host(n: int) -> Graph:
     if n < 6 or n % 2:
         raise InvalidArgumentError("overlap host needs even n >= 6")
     a = n // 2 + 1
-    edges = [(u, v) for u in range(a) for v in range(u + 1, a)]
-    second = list(range(a - 2, n))
-    edges += [(u, v) for i, u in enumerate(second) for v in second[i + 1:]]
-    return Graph(n, edges)
+    mat = np.zeros((n, n), dtype=bool)
+    mat[:a, :a] = mat[a - 2:, a - 2:] = True
+    np.fill_diagonal(mat, False)
+    return Graph(n, mat)
 
 
 def unbalanced_multipartite_host(n: int, delta: int) -> Graph:
@@ -568,7 +568,7 @@ def perfect_matching_pattern(n: int) -> Graph:
 def clique_factor_pattern(n: int, r: int) -> Graph:
     if n % r:
         raise InvalidArgumentError(f"{r} must divide n for a clique factor")
-    return disjoint_union(*[complete_graph(r) for _ in range(n // r)])
+    return disjoint_union(*[complete_graph(r)] * (n // r))
 
 
 def mixture_pattern(n: int, delta: int) -> Graph:
@@ -576,11 +576,5 @@ def mixture_pattern(n: int, delta: int) -> Graph:
     r = delta + 1
     if n < r + 5:
         raise InvalidArgumentError("mixture needs room for a clique and a 5-cycle")
-    num_cliques = (n - 5) // r
-    parts = [complete_graph(r) for _ in range(num_cliques)]
-    parts.append(cycle_graph(5))
-    g = disjoint_union(*parts)
-    pad = n - g.n
-    if pad:
-        g = disjoint_union(g, Graph(pad, []))
-    return g
+    cliques, pad = divmod(n - 5, r)
+    return disjoint_union(*[complete_graph(r)] * cliques, cycle_graph(5), Graph(pad, []))

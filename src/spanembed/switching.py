@@ -101,7 +101,8 @@ def switching_embed(g: Graph, h: Graph, phi_s: PartialEmbedding, seed: int) -> S
     for x, v in fixed.items():
         phi[x] = v
     free_h = [x for x in range(n) if phi[x] < 0]
-    free_g = [v for v in range(n) if v not in set(fixed.values())]
+    images = set(fixed.values())
+    free_g = [v for v in range(n) if v not in images]
     rng.shuffle(free_g)
     for x, v in zip(free_h, free_g):
         phi[x] = v

@@ -210,6 +210,15 @@ def test_blow_up_equals_the_edge_list_construction(r_graph, sizes):
     assert g == want and g.sorted_edges() == want.sorted_edges()
 
 
+def test_complete_graph_equals_the_edge_list_construction():
+    for n in range(71):
+        want = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        g = complete_graph(n)
+        assert g == want and g.sorted_edges() == want.sorted_edges(), n
+    with pytest.raises(InvalidArgumentError, match="nonnegative"):
+        complete_graph(-1)
+
+
 def test_blow_up_of_random_reduced_graphs():
     for seed in range(10):
         r_graph = random_graph(6, 0.5, seed)

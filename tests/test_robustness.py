@@ -3,10 +3,12 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from conftest import nx_graph as _nx
@@ -71,12 +73,66 @@ def test_nested_gp_is_sample_gp_at_every_grid_point():
     assert gps[0].num_edges() == 0 and gps[-1] == host
 
 
+def _gp_by_definition(g, p, seed):
+    # the G(p) stream contract: one uniform per sorted host edge, kept iff below p
+    edges = g.sorted_edges()
+    return {e for e, x in zip(edges, np.random.default_rng(seed).random(len(edges))) if x < p}
+
+
+@pytest.mark.parametrize("g", [random_graph(n, 0.9, n) for n in (5, 23, 70)]
+                         + [random_graph(n, 0.06, n) for n in (12, 40, 70)] + [Graph(30, [])])
+def test_gp_keeps_the_edges_whose_uniform_lies_below_p(g):
+    seed = 1000 + g.n + g.num_edges()
+    drawn = np.random.default_rng(seed).random(g.num_edges()).tolist()
+    grid = sorted({0.0, 1.0, *drawn[:3]})    # a uniform equal to p is out
+    want = [_gp_by_definition(g, p, seed) for p in grid]
+    assert [sample_gp(g, p, seed).edges for p in grid] == want
+    pairs = g.sorted_edges()
+    for edges in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+        assert [gp.edges for gp in nested_gp(g.n, edges, grid, seed)] == want
+    assert want[0] == set() and want[-1] == g.edges
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.25])
+def test_gp_refuses_a_point_outside_the_unit_interval(bad):
+    host = complete_graph(6)
+    with pytest.raises(InvalidArgumentError, match=r"p must lie in \[0,1\]"):
+        nested_gp(host.n, host.sorted_edges(), (0.25, bad), 1)
+    with pytest.raises(InvalidArgumentError, match=r"p must lie in \[0,1\]"):
+        sample_gp(host, bad, 1)
+
+
+def test_scan_of_a_complete_host_lists_no_edge_tuples():
+    # a 2-trial matching scan of K_600 (179,700 edges): traced peak 6.2 MB; listing
+    # the host's edges as tuples and ranking them each trial peaked at 27.7 MB
+    host = complete_graph(600)
+    tracemalloc.start()
+    try:
+        rows = threshold_scan(ThresholdScan(host, perfect_matching_pattern(600),
+                                            (0.002, 0.005, 0.01, 0.05, 1.0), trials=2, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000, peak
+    assert [r.successes for r in rows] == [0, 0, 0, 2, 2]
+    assert host._edges is None
+
+
 def test_sample_gp_mean_edges():
     g = complete_graph(20)
     total = sum(sample_gp(g, 0.5, seed).num_edges() for seed in range(10_000))
     mean = total / 10_000
     sigma = math.sqrt(190 * 0.25 / 10_000)
     assert abs(mean - 95) <= 3 * sigma
+
+
+def test_dirac_overlap_host_equals_the_edge_list_construction():
+    for n in range(6, 41, 2):
+        a = n // 2 + 1
+        edges = [(u, v) for u in range(a) for v in range(u + 1, a)]
+        second = list(range(a - 2, n))
+        edges += [(u, v) for i, u in enumerate(second) for v in second[i + 1:]]
+        assert dirac_overlap_host(n) == Graph(n, edges), n
 
 
 def test_contains_two_disjoint_edges_in_c4():

@@ -23,7 +23,7 @@ restricted to a subset of its cluster.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
@@ -40,7 +40,8 @@ from .errors import (
 from .graphs import Graph, bits, blow_up, clique_component_size
 from .partition import closed_second_neighborhood, distance_power_graph, equitable_coloring
 from .regularity import CERTIFIED, RegPairParams, check_regular_pair, check_super_regular_pair
-from .seeds import block_integers, check_seed, count_trials, fresh_seed, np_rng, py_rng
+from .seeds import (block_integers, check_seed, count_trials, fresh_seed, np_rng, py_rng,
+                    trial_draws)
 from .spread import FBInstance, FBParams, SpreadEstimate, sample_spread_matching
 from .switching import PartialEmbedding, switching_embed
 
@@ -534,39 +535,52 @@ def run_pipeline_once(host: PartitionedHost, pattern: PartitionedPattern,
 
 @dataclass(frozen=True)
 class VertexSpreadReport:
+    """Trial t's (fail_stage, smallest RGA candidate set) is ``outcomes[t]``;
+    ``counts[x, s]`` (read-only, not compared) counts the successes that
+    mapped x to slot s of its cluster."""
     probes: tuple[tuple[int, int], ...]
     estimates: tuple[SpreadEstimate, ...]
     trials: int
     successes: int
-
-    @property
-    def max_estimate(self) -> float:
-        return max((e.estimate for e in self.estimates), default=0.0)
-
-    def spread_constant(self, n: int) -> float:
-        return n * self.max_estimate
+    outcomes: tuple[tuple[str, int], ...]
+    counts: np.ndarray = field(compare=False, repr=False)
 
 
 def estimate_vertex_spread(host: PartitionedHost, pattern: PartitionedPattern,
                            cfg: RGAConfig, c: int,
                            probes: Sequence[tuple[int, int]],
                            trials: int, seed: int) -> VertexSpreadReport:
-    """Empirical P(phi(x) = v) per probe over success-conditioned pipeline runs.
+    """Empirical P(phi(x) = v) for every pair, over success-conditioned pipeline runs.
 
-    Requires at least 10^3 trials; raises EstimateUnreliableError when
-    fewer than MIN_SUCCESS_RATE of them produce an embedding.
+    One (n, m) int32 matrix counts every success; each probe is read off
+    it, 0 for a v outside x's cluster.  Requires at least 10^3 trials and
+    probes in [0, n); raises EstimateUnreliableError, naming the failures
+    per stage, when fewer than MIN_SUCCESS_RATE of them give an embedding.
     """
     if trials < 1000:
         raise InvalidArgumentError(f"need at least 1000 trials, got {trials}")
-    successes, hits = count_trials(
-        lambda trial_seed: run_pipeline_once(host, pattern, cfg, c, trial_seed).phi,
-        [lambda phi, x=x, v=v: phi[x] == v for x, v in probes], trials, seed)
+    n, m = host.g.n, host.m
+    probes = tuple(probes)
+    for x, v in probes:
+        if not (0 <= x < n and 0 <= v < n):
+            raise InvalidArgumentError(f"probe ({x}, {v}) has a vertex outside [0, {n})")
+    counts, rows, outcomes = np.zeros((n, m), np.int32), np.arange(n), []
+    for trial in trial_draws(
+            lambda trial_seed: run_pipeline_once(host, pattern, cfg, c, trial_seed), trials, seed):
+        outcomes.append((trial.fail_stage, min(trial.rga_sizes, default=0)))
+        if trial.ok:
+            image = np.fromiter(map(trial.phi.__getitem__, range(n)), np.intp, count=n)
+            counts[rows, image % m] += 1
+    successes = sum(not stage for stage, _ in outcomes)
     if successes < MIN_SUCCESS_RATE * trials:
-        raise EstimateUnreliableError(
-            f"only {successes}/{trials} pipeline successes; estimates unreliable")
-    ests = tuple(SpreadEstimate(f"phi({x})={v}", successes, hit)
-                 for (x, v), hit in zip(probes, hits))
-    return VertexSpreadReport(tuple(probes), ests, trials, successes)
+        stages = [stage for stage, _ in outcomes if stage]
+        per_stage = ", ".join(f"{s} {stages.count(s)}" for s in sorted(set(stages)))
+        raise EstimateUnreliableError(f"only {successes}/{trials} pipeline successes; "
+                                      f"estimates unreliable (failures: {per_stage})")
+    own = [host.cluster_of[v] == pattern.part_of[x] for x, v in probes]
+    ests = tuple(SpreadEstimate(f"phi({x})={v}", successes, int(counts[x, v % m]) if ok else 0)
+                 for (x, v), ok in zip(probes, own))
+    return VertexSpreadReport(probes, ests, trials, successes, tuple(outcomes), _frozen(counts))
 
 
 def pushforward_edge_spread(host: PartitionedHost, pattern: PartitionedPattern,

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import format_fb_instance
-from spanembed import cli, robustness, spread
+from spanembed import cli, pipeline, robustness, spread
 from spanembed.cli import build_parser, main
 from spanembed.errors import InternalInvariantError, InvalidArgumentError
 from spanembed.graphs import (
@@ -223,7 +223,59 @@ def test_pipeline_subcommand(files, tmp_path, capsys):
     assert rows[0] == ["trial", "ok", "fail_stage", "min_candidate"]
     assert len(rows) == 26
     spread_rows = list(csv.reader(open(str(tmp_path / "pipe-spread.csv"))))
-    assert spread_rows[-1][0] == "max"
+    assert spread_rows[0] == ["x", "v", "successes", "hits", "estimate", "radius_or_nmax"]
+    # one row per pattern vertex, its image in its own cluster, then the all-pairs max
+    assert [int(row[0]) for row in spread_rows[1:-1]] == list(range(60))
+    host = generate_regular_host(complete_graph(3), complete_graph(3), 20, 0.5, 11)
+    pattern = partition_pattern(robustness.clique_factor_pattern(60, 3), host, None,
+                                alpha=0.25, seed=child_seed(11, 1))
+    assert [int(row[1]) // 20 for row in spread_rows[1:-1]] == list(pattern.part_of)
+    top = max(int(row[3]) for row in spread_rows[1:-1])
+    successes = int(spread_rows[-1][2])
+    assert spread_rows[-1][0] == "max" and successes >= 100
+    assert spread_rows[-1][4:] == [f"{top / successes:.6f}", f"{60 * top / successes:.4f}"]
+
+
+def test_pipeline_spread_csv_sits_beside_the_rows_csv(files, tmp_path):
+    # the suffix is cut from the file name only: a dot in a directory name stays
+    write, _ = files
+    cfg = write("pipe.cfg", "m 20\ntrials 3\nseed 2\n")
+    run_dir = tmp_path / "run.d"
+    run_dir.mkdir()
+    assert main(["pipeline", "--config", cfg, "--out", str(run_dir / "rows")]) == 0
+    assert main(["pipeline", "--config", cfg, "--out", str(run_dir / "rows.csv")]) == 0
+    assert sorted(os.listdir(run_dir)) == ["rows", "rows-spread", "rows-spread.csv", "rows.csv"]
+    assert not (tmp_path / "run-spread.csv").exists()
+    with open(run_dir / "rows-spread") as a, open(run_dir / "rows-spread.csv") as b:
+        assert a.read() == b.read()
+
+
+def test_pipeline_runs_one_stream_of_trials(files, tmp_path, monkeypatch):
+    # max(1000, trials) calls in all, wherever the name is looked up: the rows
+    # are the first trials of the stream the spread counts come from
+    write, _ = files
+    cfg = write("pipe.cfg", "m 20\nC 5\ntrials 25\nseed 11\n")
+    once, calls = pipeline.run_pipeline_once, []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return once(*args)
+
+    monkeypatch.setattr(pipeline, "run_pipeline_once", counted)
+    monkeypatch.setattr(cli, "run_pipeline_once", counted, raising=False)
+    assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "pipe.csv")]) == 0
+    assert calls == [child_seed(11, t) for t in range(1000)]
+
+
+def test_pipeline_refusal_writes_no_csv(files, tmp_path, capsys):
+    # a sparse host starves the greedy stage: exit 3 before any CSV, failures named by stage
+    write, _ = files
+    cfg = write("pipe.cfg", "d 0.1\nm 20\ntrials 5\nseed 1\n")
+    out_csv = tmp_path / "pipe.csv"
+    assert main(["pipeline", "--config", cfg, "--out", str(out_csv)]) == 3
+    err = capsys.readouterr().err
+    assert "pipeline successes" in err and re.search(r"\brga \d+", err)
+    assert sorted(os.listdir(tmp_path)) == ["pipe.cfg"]
 
 
 def test_pipeline_rows_are_trials_at_child_seeds(files, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -9,6 +10,7 @@ import pytest
 from scipy.stats import chi2
 
 from conftest import nx_graph
+from spanembed import pipeline
 from spanembed.errors import (
     EstimateUnreliableError,
     GenerationFailedError,
@@ -32,7 +34,7 @@ from spanembed.pipeline import (
 )
 from spanembed.regularity import CERTIFIED, RegPairParams, check_super_regular_pair
 from spanembed.robustness import clique_factor_pattern, perfect_matching_pattern
-from spanembed.seeds import child_seed, fresh_seed, py_rng
+from spanembed.seeds import child_seed, count_trials, fresh_seed, py_rng
 from spanembed.spread import check_fb_conditions
 
 K2 = complete_graph(2)
@@ -429,6 +431,54 @@ def test_vertex_spread_pair_probe_dominated_by_product():
     joint_est = hits / n_ok
     sigma = math.sqrt(max(joint_est, 1e-4) / n_ok)
     assert joint_est <= 2 * max(p1, 1 / 40) * max(p2, 1 / 40) + 3 * sigma
+
+
+def test_vertex_spread_counts_every_pair_of_one_replayed_stream():
+    # d = 0.4 makes some trials fail in buffer completion; the replay keeps
+    # per-pair counts in a dict, and the old per-probe event count is the oracle
+    host, pattern = triangle_setup(d=0.4)
+    cfg, seed, trials = RGAConfig(mu=0.25), (7 << 32) | 3, 1000
+    x0, x1 = pattern.buffers[0][0], pattern.parts[2][-1]
+    probes = [(x0, host.clusters[0][3]), (x0, host.clusters[1][3]), (x1, host.clusters[2][0]),
+              (x1, host.clusters[2][-1])]
+    report = estimate_vertex_spread(host, pattern, cfg, 6, probes, trials, seed)
+    outcomes, pairs = [], {}
+    for t in range(trials):
+        trial = run_pipeline_once(host, pattern, cfg, 6, child_seed(seed, t))
+        outcomes.append((trial.fail_stage, min(trial.rga_sizes) if trial.rga_sizes else 0))
+        for x, v in (trial.phi or {}).items():
+            pairs[x, v] = pairs.get((x, v), 0) + 1
+    assert report.outcomes == tuple(outcomes)
+    successes = sum(not stage for stage, _ in outcomes)
+    assert report.trials == trials and report.successes == successes < trials
+    counts = np.zeros((host.g.n, host.m), dtype=int)
+    for (x, v), k in pairs.items():
+        cluster = host.clusters[pattern.part_of[x]]
+        counts[x, cluster.index(v)] = k
+    assert np.array_equal(report.counts, counts)
+    assert (report.counts.sum(axis=1) == successes).all()
+    assert not report.counts.flags.writeable
+    oracle_successes, hits = count_trials(
+        lambda trial_seed: run_pipeline_once(host, pattern, cfg, 6, trial_seed).phi,
+        [lambda phi, x=x, v=v: phi[x] == v for x, v in probes], trials, seed)
+    assert oracle_successes == successes
+    assert [e.hits for e in report.estimates] == hits and hits[1] == 0
+    # reports compare by value, without the count matrix
+    assert report == dataclasses.replace(report, counts=np.zeros(1))
+    assert report != dataclasses.replace(report, outcomes=report.outcomes[1:])
+
+
+def test_vertex_spread_refuses_probes_outside_the_host(monkeypatch):
+    # checked before any trial runs; test_vertex_spread_wrong_cluster_probe_is_zero
+    # covers a v inside the host but outside x's cluster
+    host, pattern = small_matching_setup()
+    cfg, n = RGAConfig(mu=0.25), host.g.n
+    calls = []
+    monkeypatch.setattr(pipeline, "run_pipeline_once", lambda *args: calls.append(args))
+    for probe in [(n, 0), (0, 10 ** 6), (-1, 0), (0, -1)]:
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"probe {probe}")):
+            estimate_vertex_spread(host, pattern, cfg, 5, [(0, 0), probe], 1000, 0)
+    assert calls == []
 
 
 def test_vertex_spread_requires_trials_and_successes():

@@ -10,21 +10,48 @@ components strictly lowers the ratio (the denominator loses one fewer
 than the sum of parts), and adding edges on a fixed vertex set never
 lowers it.  We therefore work per connected component.  A component of
 up to EXHAUSTIVE_LIMIT vertices has the edges of every vertex subset
-counted in one numpy pass (1.9 ms at 19 vertices).  Above that we switch
-to Dinkelbach iteration (3.0 ms at 20 vertices): an exact min-cut test
-(Goldberg's edge-node network, solved with scipy's ``maximum_flow``)
-decides whether some vertex set S has e(S) - g(|S|-1) > 0, and the
-density of the S it finds is the next guess g.  Guesses are attained
-ratios e/(v-1), so every capacity is at most 2nm + 1 for n vertices and
-m edges; scipy's capacities are int32 and wrap silently, so larger
-components raise UnsupportedSizeError.
+counted in one numpy pass.  Above that we use Dinkelbach iteration: an
+exact test decides whether some vertex set S has e(S) - g(|S|-1) > 0,
+and the density of the S it finds is the next guess g.
+
+The test runs on a core, not on the whole component.  It repeatedly
+drops every vertex whose degree inside the core is at most g; an empty
+core means m1 = g, and a core of up to EXHAUSTIVE_LIMIT vertices is
+scanned, which gives m1 = max(g, m1(core)).  Otherwise it anchors one
+core vertex of highest degree in a min cut (Goldberg's edge-node
+network, solved with scipy's ``maximum_flow``), which either finds S or
+shows that no such S inside the core contains the anchor; then the
+anchor leaves the core and the core is peeled again.  This is exact.
+Let S* be a smallest set attaining m1 > g.  The first guess is at least
+1 on a connected component, so |S*| >= 3, and every v in S* has
+deg_S*(v) > m1 > g, or S* - v would attain m1 too: peeling never drops
+a vertex of S*, and a failed anchor is not in S*.  Both stay true at
+every larger guess, so one core serves the whole iteration.
+
+Wall time of ``max_one_density`` (best of 5, median over 8 graphs for
+the max-degree-4 components with 2n-1 edges) and maximum_flow calls
+per component, anchoring every vertex against anchoring the core (2-core
+VM, Python 3.11.7, numpy 2.4.6, scipy 1.17.1):
+
+    component           every vertex         core
+    cycle, n = 60        28.5 ms,  60 cuts    0.50 ms,  1 cut
+    cycle, n = 200      307 ms,   200 cuts    0.86 ms,  1 cut
+    max-degree 4, 20     7.66 ms,  20 cuts    0.98 ms,  2-3 cuts
+    max-degree 4, 40     12.4 ms,  40 cuts    1.98 ms,  4-7 cuts
+    max-degree 4, 120    46.3 ms, 120 cuts    7.49 ms, 11-15 cuts
+
+Guesses are attained ratios e/(v-1), so every capacity is at most
+2nm + 1 for n vertices and m edges; scipy's capacities are int32 and
+wrap silently, so larger components raise UnsupportedSizeError.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -33,14 +60,18 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from .errors import InternalInvariantError, InvalidArgumentError, UnsupportedSizeError
 from .graphs import Graph, bits
 
-# The subset scan costs 2^n steps whatever the edge count; the flow path's
-# cost grows with the edges.  On max-degree-4 components with 2n-1 edges
-# (2-core VM, Python 3.11.7, numpy 2.4.6; median of 8 graphs) they cross
-# at 19 vertices: scan 0.94 ms, flow 2.64 ms at n = 18; scan 1.92 ms, flow
-# 2.84 ms at n = 19; scan 3.89 ms, flow 3.01 ms at n = 20.  The scan's
-# transient arrays take about 10 bytes a mask, a peak of 5.3 MB traced at
-# n = 19; they must stay under 16 MB, which n = 21 (21 MB) would pass.
-EXHAUSTIVE_LIMIT = 19
+# The largest component, and the largest core, that is scanned whole.  The
+# scan costs 2^n steps whatever the edge count; the core path's cost grows
+# with the cuts it needs.  On max-degree-4 components with 2n-1 edges
+# (2-core VM, Python 3.11.7, numpy 2.4.6; best of 5, median of 8 graphs,
+# cores handed off at 16) scan against core path reads 0.13 / 0.16 ms at
+# n = 16, 0.26 / 0.45 ms at n = 17, 0.51 / 0.58 ms at n = 18 and
+# 0.99 / 0.91 ms at n = 19.  Over the whole family at n = 14..40 a limit
+# of 16, 17 or 18 costs the same within noise (31-33 ms), and 16 is the
+# fastest on 16 seeded graphs at each of n = 16, 20, 25 and 40 (72.6 ms
+# against 73.5 and 75.5).  The scan's transient arrays peak at 0.7 MB
+# traced at n = 16 (5.2 MB at n = 19); they must stay under 16 MB.
+EXHAUSTIVE_LIMIT = 16
 _INT32_MAX = 2**31 - 1   # scipy's maximum_flow capacities are int32 and wrap silently
 
 
@@ -97,13 +128,16 @@ def _component_m1_exhaustive(g: Graph) -> tuple[int, int, int]:
     pairs = 0
     for j in range(1, b):
         pairs |= (adj[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
-    edges = np.empty(1 << n, dtype=np.uint8)      # e(S) <= C(n, 2) < 256 up to n = 23
-    np.bitwise_count(_PAIR_ROWS[:1 << b] & pairs, out=edges[:1 << b])
-    for k in range(b, n):
-        low = 1 << k
-        np.add(edges[:low], np.bitwise_count(np.arange(low) & adj[k]), out=edges[low:2 * low])
-    sizes, weights = _scan_tables(n)
-    key = edges * weights[sizes]
+    if n == b:
+        edges = np.bitwise_count(_PAIR_ROWS[:1 << n] & pairs)
+    else:
+        edges = np.empty(1 << n, dtype=np.uint8)      # e(S) <= C(n, 2) < 256 up to n = 23
+        np.bitwise_count(_PAIR_ROWS[:1 << b] & pairs, out=edges[:1 << b])
+        for k in range(b, n):
+            low = 1 << k
+            np.add(edges[:low], np.bitwise_count(np.arange(low) & adj[k]),
+                   out=edges[low:2 * low])
+    key = edges * _key_weights(n)
     mask = int(key.argmax())
     if key[mask] == 0:
         return 0, 1, 0
@@ -119,14 +153,16 @@ _PAIR_ROWS = np.array([sum(1 << (j * (j - 1) // 2 + i)
 
 
 @cache
-def _scan_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """|S| for every mask S below 2^n, and L/(k-1) for every set size k.
+def _key_weights(n: int) -> np.ndarray:
+    """L/(|S|-1) for every mask S below 2^n, with L = lcm(1..n-1); 0 where |S| < 2.
 
-    Sizes are uint8; the weight of a size below 2 is 0, and L = lcm(1..n-1).
+    int32 holds every key e(S) * L/(|S|-1) <= C(n, 2) * L up to n = 19.
     """
     lcm = math.lcm(*range(1, n))
-    weights = [0, 0] + [lcm // (k - 1) for k in range(2, n + 1)]
-    return np.bitwise_count(np.arange(1 << n)), np.array(weights, dtype=np.int64)
+    per_size = np.array([0, 0] + [lcm // (k - 1) for k in range(2, n + 1)], dtype=np.int32)
+    table = per_size[np.bitwise_count(np.arange(1 << n))]
+    table.flags.writeable = False
+    return table
 
 
 # -- flow-based path ---------------------------------------------------
@@ -136,21 +172,23 @@ def _component_m1_flow(g: Graph) -> tuple[int, int, int]:
     """Best (e, v-1, vertex mask) of a connected component by Dinkelbach iteration.
 
     The first guess is the density of the whole component.  While the
-    cut test finds a set S with e(S) - g(|S|-1) > 0, the next guess is
+    test finds a set S with e(S) - g(|S|-1) > 0, the next guess is
     e(S)/(|S|-1), which is strictly larger.  Every guess is an attained
-    ratio, so the loop ends at m1 after finitely many cuts, and the last
-    S found attains it.
+    ratio, so the loop ends at m1 after finitely many tests, and the
+    last S found attains it.  One core serves every guess: a vertex it
+    drops lies in no smallest set attaining m1, unless m1 is already found.
     """
     n = g.n
-    edges = g.sorted_edges()
+    m = g.num_edges()
     # guesses a/b have b <= n-1 and a <= m, so every capacity is at most 2nm + 1
-    if 2 * n * len(edges) + 1 > _INT32_MAX:
+    if 2 * n * m + 1 > _INT32_MAX:
         raise UnsupportedSizeError(
-            f"flow capacities for {n} vertices and {len(edges)} edges overflow int32")
+            f"flow capacities for {n} vertices and {m} edges overflow int32")
     mask = (1 << n) - 1
-    num, den = len(edges), n - 1
+    core = _Core(g, mask)
+    num, den = m, n - 1
     while True:
-        found = _denser_set(n, edges, Fraction(num, den))
+        found = _denser_set(core, Fraction(num, den))
         if not found:
             return num, den, mask
         mask = found
@@ -158,34 +196,83 @@ def _component_m1_flow(g: Graph) -> tuple[int, int, int]:
         den = mask.bit_count() - 1
 
 
-def _denser_set(n: int, edges: list[tuple[int, int]], g: Fraction) -> int:
+@dataclass(slots=True)
+class _Core:
+    """The vertices of a component that may still lie in a smallest densest set."""
+
+    graph: Graph
+    alive: int
+
+
+def _denser_set(core: _Core, g: Fraction) -> int:
     """Exact test: the mask of a set S with e(S) - g(|S|-1) > 0, or 0 if none.
 
-    For S containing an anchor w, b*e(S) - a*|S minus w| > 0 with g = a/b
-    is decided by a min cut in the usual edge-node network (source 0,
-    sink 1, vertex v at 2+v, edge j at 2+n+j) where w's sink arc is
-    free.  Adding the anchor to any S never lowers the objective, so
-    scanning anchors covers every candidate set.  The returned S is the
-    source side of the minimum cut: the nodes reachable from the source
-    over arcs with residual capacity left.
+    ``core.alive`` holds every smallest set attaining m1 while g < m1
+    (module docstring), and this shrinks it.  Each round peels the core
+    at g; an empty core means there is no such S, and a core of at most
+    EXHAUSTIVE_LIMIT vertices is scanned whole, which settles m1, so the
+    core is emptied after it.  Otherwise a cut anchored at a core vertex
+    of highest degree inside the core (the smallest such) either finds S
+    or shows that the anchor lies in no smallest densest set, and the
+    anchor leaves the core.
     """
     a, b = g.numerator, g.denominator
-    m = len(edges)
-    inf = b * m + a * n + 1
-    enodes = np.arange(2 + n, 2 + n + m)
-    ends = np.array(edges, dtype=np.int64).reshape(m, 2) + 2
-    rows = np.concatenate([np.zeros(m, np.int64), enodes, enodes, np.arange(2, 2 + n)])
-    cols = np.concatenate([enodes, ends[:, 0], ends[:, 1], np.ones(n, np.int64)])
-    caps = np.concatenate([np.full(m, b), np.full(2 * m, inf), np.full(n, a)])
-    net = csr_array((caps.astype(np.int32), (rows, cols)), shape=(2 + n + m, 2 + n + m))
-    degree = np.bincount(ends.ravel() - 2, minlength=n)
-    for w in sorted(range(n), key=lambda v: -degree[v]):
-        net.data[net.indptr[2 + w]] = 0     # a vertex row holds only its sink arc
-        res = maximum_flow(net, 0, 1)
-        if res.flow_value < b * m:
-            residual = net - res.flow
-            residual.eliminate_zeros()
-            side = breadth_first_order(residual, 0, return_predecessors=False)
-            return sum(1 << int(v - 2) for v in side if 2 <= v < 2 + n)
-        net.data[net.indptr[2 + w]] = a
-    return 0
+    graph = core.graph
+    while True:
+        alive = core.alive = _peel(graph.adj, core.alive, a, b)
+        if alive.bit_count() <= EXHAUSTIVE_LIMIT:
+            core.alive = 0
+            if not alive:
+                return 0
+            vs = bits(alive)
+            num, den, mask = _component_m1_exhaustive(graph.induced(vs))
+            return sum(1 << vs[i] for i in bits(mask)) if num * b > a * den else 0
+        anchor = max(bits(alive), key=lambda v: (graph.adj[v] & alive).bit_count())
+        found = _anchored_cut(graph.adj, alive, anchor, a, b)
+        if found:
+            return found
+        core.alive = alive ^ 1 << anchor
+
+
+def _peel(adj: Sequence[int], alive: int, a: int, b: int) -> int:
+    """``alive`` less every vertex of degree at most a/b inside what is left, repeatedly."""
+    low = [v for v in bits(alive) if (adj[v] & alive).bit_count() * b <= a]
+    while low:
+        v = low.pop()
+        if alive >> v & 1:
+            alive ^= 1 << v
+            low += [u for u in bits(adj[v] & alive) if (adj[u] & alive).bit_count() * b <= a]
+    return alive
+
+
+def _anchored_cut(adj: Sequence[int], alive: int, anchor: int, a: int, b: int) -> int:
+    """The mask of a set S inside ``alive`` with b*e(S) - a(|S|-1) > 0, or 0.
+
+    For S containing the anchor w, b*e(S) - a*|S minus w| > 0 is decided
+    by a min cut in the usual edge-node network on ``alive`` (source 0,
+    sink 1, vertex i at 2+i, edge j at 2+k+j for k vertices), where w's
+    sink arc is free.  A cut that fails shows that no such S contains w.
+    The returned S is the source side of the minimum cut: the nodes
+    reachable from the source over arcs with residual capacity left.
+    """
+    vs = bits(alive)
+    k = len(vs)
+    local = {v: i for i, v in enumerate(vs)}
+    pairs = [(i, local[u]) for i, v in enumerate(vs)
+             for u in bits(adj[v] & alive >> v + 1 << v + 1)]
+    m = len(pairs)
+    inf = b * m + a * k + 1
+    enodes = np.arange(2 + k, 2 + k + m)
+    ends = np.array(pairs, dtype=np.int64).reshape(m, 2) + 2
+    rows = np.concatenate([np.zeros(m, np.int64), enodes, enodes, np.arange(2, 2 + k)])
+    cols = np.concatenate([enodes, ends[:, 0], ends[:, 1], np.ones(k, np.int64)])
+    caps = np.concatenate([np.full(m, b), np.full(2 * m, inf), np.full(k, a)])
+    caps[3 * m + local[anchor]] = 0
+    net = csr_array((caps.astype(np.int32), (rows, cols)), shape=(2 + k + m, 2 + k + m))
+    res = maximum_flow(net, 0, 1)
+    if res.flow_value == b * m:
+        return 0
+    residual = net - res.flow
+    residual.eliminate_zeros()
+    side = breadth_first_order(residual, 0, return_predecessors=False)
+    return sum(1 << vs[v - 2] for v in side if 2 <= v < 2 + k)

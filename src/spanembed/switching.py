@@ -17,6 +17,7 @@ state when no admissible swap exists.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -121,10 +122,11 @@ def switching_embed(g: Graph, h: Graph, phi_s: PartialEmbedding, seed: int) -> S
     steps: list[SwitchStep] = []
     time = 0
 
+    unmapped = _unmapped_oriented(g, phi, in_s, edges)
     while mapped < target:
         time += 1
         accepted = False
-        for x, xs in _unmapped_oriented(g, h, phi, in_s, edges):
+        for x, xs in unmapped:
             common = (1 << n) - 1
             for a in bits(h.adj[x]):
                 common &= g.adj[phi[a]]
@@ -149,6 +151,7 @@ def switching_embed(g: Graph, h: Graph, phi_s: PartialEmbedding, seed: int) -> S
         if not accepted:
             return SwitchOutcome(False, tuple(phi), tuple(steps),
                                  note="stuck: unmapped edge with no admissible swap")
+        _drop_mapped(g, h, phi, unmapped, x, y)
 
     for x, v in fixed.items():
         if phi[x] != v:
@@ -156,8 +159,8 @@ def switching_embed(g: Graph, h: Graph, phi_s: PartialEmbedding, seed: int) -> S
     return SwitchOutcome(True, tuple(phi), tuple(steps))
 
 
-def _unmapped_oriented(g, h, phi, in_s, edges):
-    """Oriented unmapped edges (x, x*) with x outside the fixed domain."""
+def _unmapped_oriented(g, phi, in_s, edges):
+    """Oriented unmapped edges (x, x*) with x outside the fixed domain, sorted."""
     out = []
     for u, v in edges:
         if g.has_edge(phi[u], phi[v]):
@@ -168,6 +171,21 @@ def _unmapped_oriented(g, h, phi, in_s, edges):
             out.append((v, u))
     out.sort()
     return out
+
+
+def _drop_mapped(g, h, phi, unmapped, x, y):
+    """Remove from the sorted ``unmapped`` the edges at x or y that their swap mapped.
+
+    No other edge changes: an accepted swap unmaps nothing (``_swap_delta``)
+    and moves only the images of x and y.
+    """
+    for u in (x, y):
+        for a in bits(h.adj[u]):
+            if g.has_edge(phi[u], phi[a]):
+                for pair in ((u, a), (a, u)):
+                    i = bisect_left(unmapped, pair)
+                    if i < len(unmapped) and unmapped[i] == pair:
+                        del unmapped[i]
 
 
 def _swap_delta(g, h, phi, x, y):

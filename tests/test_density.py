@@ -1,11 +1,15 @@
+import math
 import random
 import sys
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from catalog import connected_catalog, m1_oracle
 from conftest import random_bounded_degree_graph, random_graph
@@ -109,7 +113,7 @@ def test_flow_path_agrees_with_exhaustive_on_medium_components():
         sub = g.induced(comp)
         if sub.n < 3:
             continue
-        num_e, den_e, mask_e = _component_m1_exhaustive(sub)
+        num_e, den_e, mask_e = bitmask_loop_m1(sub)      # 17 and 18 exceed the scan's limit
         num_f, den_f, mask_f = _component_m1_flow(sub)
         assert Fraction(num_e, den_e) == Fraction(num_f, den_f)
         vs = [i for i in range(sub.n) if mask_f >> i & 1]
@@ -143,14 +147,15 @@ def test_component_size_picks_the_path(monkeypatch):
 
 def test_large_component_uses_flow_path(monkeypatch):
     # sparse connected graph one vertex above the limit: the package takes
-    # the flow search, and the bitmask loop (2^20 sets) cross-checks it
+    # the flow search, which hands its peeled 15-vertex core to the scan,
+    # and the bitmask loop (2^17 sets) cross-checks it
     n = density.EXHAUSTIVE_LIMIT + 1
     g = random_bounded_degree_graph(n, 3, seed=9, p=0.9)
     assert len(g.connected_components()) == 1
     num_e, den_e, _ = bitmask_loop_m1(g)
     seen = _spy_on_paths(monkeypatch)
     value, witness = max_one_density(g)
-    assert seen == {"_component_m1_exhaustive": [], "_component_m1_flow": [n]}
+    assert seen == {"_component_m1_exhaustive": [15], "_component_m1_flow": [n]}
     assert value == Fraction(num_e, den_e)
     w = g.induced(list(witness))
     assert Fraction(w.num_edges(), w.n - 1) == value
@@ -269,3 +274,140 @@ def test_flow_path_refuses_capacities_past_int32(monkeypatch):
         _component_m1_flow(cycle_graph(25))
     monkeypatch.setattr(density, "_INT32_MAX", 2 * 25 * 25 + 1)
     assert _component_m1_flow(cycle_graph(25))[:2] == (25, 24)
+
+
+def all_anchor_m1(g):
+    """Maximum 1-density of a connected graph and an attaining mask, anchoring every vertex.
+
+    Dinkelbach iteration from the density of the whole graph, each guess
+    tested by the edge-node min cut on the whole graph with every vertex
+    in turn as the anchor, highest degree first: no peeling, no core and
+    no subset scan.
+    """
+    n, edges = g.n, g.sorted_edges()
+    mask, value = (1 << n) - 1, Fraction(len(edges), n - 1)
+    while True:
+        found = _all_anchor_cut(n, edges, value)
+        if not found:
+            return value, mask
+        mask = found
+        value = Fraction(_edges_inside(g, mask), mask.bit_count() - 1)
+
+
+def _all_anchor_cut(n, edges, g):
+    """The source side of the first anchored cut that finds e(S) - g(|S|-1) > 0, or 0."""
+    a, b = g.numerator, g.denominator
+    m = len(edges)
+    inf = b * m + a * n + 1
+    enodes = np.arange(2 + n, 2 + n + m)
+    ends = np.array(edges, dtype=np.int64).reshape(m, 2) + 2
+    rows = np.concatenate([np.zeros(m, np.int64), enodes, enodes, np.arange(2, 2 + n)])
+    cols = np.concatenate([enodes, ends[:, 0], ends[:, 1], np.ones(n, np.int64)])
+    caps = np.concatenate([np.full(m, b), np.full(2 * m, inf), np.full(n, a)])
+    net = csr_array((caps.astype(np.int32), (rows, cols)), shape=(2 + n + m, 2 + n + m))
+    degree = np.bincount(ends.ravel() - 2, minlength=n)
+    for w in sorted(range(n), key=lambda v: -degree[v]):
+        net.data[net.indptr[2 + w]] = 0     # a vertex row holds only its sink arc
+        res = maximum_flow(net, 0, 1)
+        if res.flow_value < b * m:
+            residual = net - res.flow
+            residual.eliminate_zeros()
+            side = breadth_first_order(residual, 0, return_predecessors=False)
+            return sum(1 << int(v - 2) for v in side if 2 <= v < 2 + n)
+        net.data[net.indptr[2 + w]] = a
+    return 0
+
+
+def _edges_inside(g, mask):
+    return sum((g.adj[v] & mask).bit_count() for v in range(g.n) if mask >> v & 1) // 2
+
+
+def max_degree_4_graph(n, seed):
+    """Connected, 2n-1 edges, no degree above 4: seeded pairs taken while both ends have room.
+
+    A draw that ends short of 2n-1 edges or disconnected is redrawn.
+    """
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    while True:
+        rng.shuffle(pairs)
+        deg = [0] * n
+        edges = []
+        for u, v in pairs:
+            if deg[u] < 4 and deg[v] < 4 and len(edges) < 2 * n - 1:
+                edges.append((u, v))
+                deg[u] += 1
+                deg[v] += 1
+        g = Graph(n, edges)
+        if len(edges) == 2 * n - 1 and len(g.connected_components()) == 1:
+            return g
+
+
+def planted_clique_tree(n, k, seed):
+    """K_k on 0..k-1, each later vertex joined to a random earlier one, plus n // 5 random pairs."""
+    rng = random.Random(seed)
+    edges = _clique(range(k)) + [(rng.randrange(v), v) for v in range(k, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(n // 5)]
+    return Graph(n, edges)
+
+
+# K9 on 0..8 and K8 on 9..16 joined by a 10-vertex path: the first guess
+# 75/26 peels the path, and the 17-vertex core left is the two cliques
+TWO_CLIQUES_PATH = Graph(27, _clique(range(9)) + _clique(range(9, 17))
+                         + [(8, 17)] + [(v, v + 1) for v in range(17, 26)] + [(26, 9)])
+
+ORACLE_GRAPHS = ([max_degree_4_graph(n, 31 * n + j)
+                  for n in range(20, 61, 5) for j in range(2)]
+                 + [planted_clique_tree(n, k, 7 * n + k) for n in (20, 30) for k in (4, 5, 6)]
+                 + [TWO_CLIQUES_PATH, K5_TAIL, K6_K4S_TAIL])
+
+
+@pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=repr)
+def test_core_path_agrees_with_the_all_anchor_oracle(g):
+    assert len(g.connected_components()) == 1 and g.n > density.EXHAUSTIVE_LIMIT
+    value, mask = all_anchor_m1(g)
+    assert Fraction(_edges_inside(g, mask), mask.bit_count() - 1) == value
+    got, witness = max_one_density(g)
+    assert got == value
+    assert one_density(g.induced(list(witness))) == value
+
+
+def test_peeled_core_of_two_cliques_falls_apart():
+    # the path goes at the first guess; the core left has two components
+    core = density._peel(TWO_CLIQUES_PATH.adj, (1 << 27) - 1, 75, 26)
+    assert core == (1 << 17) - 1
+    assert len(TWO_CLIQUES_PATH.induced(range(17)).connected_components()) == 2
+    assert max_one_density(TWO_CLIQUES_PATH) == (Fraction(9, 2), tuple(range(9)))
+
+
+def _count_flows(monkeypatch):
+    calls = []
+    real = density.maximum_flow
+    monkeypatch.setattr(density, "maximum_flow", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("g, most", [
+    (cycle_graph(200), 2),               # anchoring every vertex took 200 cuts
+    (max_degree_4_graph(40, 2024), 8),   # and 41 here
+])
+def test_core_path_cut_count(monkeypatch, g, most):
+    calls = _count_flows(monkeypatch)
+    value, _ = max_one_density(g)
+    assert len(calls) <= most
+    assert value == all_anchor_m1(g)[0]
+
+
+def test_capacity_refusal_runs_no_flow(monkeypatch):
+    calls = _count_flows(monkeypatch)
+    monkeypatch.setattr(density, "_INT32_MAX", 2 * 25 * 25)
+    with pytest.raises(UnsupportedSizeError):
+        _component_m1_flow(cycle_graph(25))
+    assert calls == []
+
+
+def test_scan_keys_fit_int32_at_the_limit():
+    # the cached key weights are int32: every key e(S) * L/(|S|-1) stays below 2^31
+    n = density.EXHAUSTIVE_LIMIT
+    assert math.comb(n, 2) * math.lcm(*range(1, n)) < 2**31
+    assert density._key_weights(n).dtype == np.int32

@@ -48,7 +48,6 @@ wrap silently, so larger components raise UnsupportedSizeError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Sequence
@@ -184,11 +183,10 @@ def _component_m1_flow(g: Graph) -> tuple[int, int, int]:
     if 2 * n * m + 1 > _INT32_MAX:
         raise UnsupportedSizeError(
             f"flow capacities for {n} vertices and {m} edges overflow int32")
-    mask = (1 << n) - 1
-    core = _Core(g, mask)
+    alive = mask = (1 << n) - 1
     num, den = m, n - 1
     while True:
-        found = _denser_set(core, Fraction(num, den))
+        found, alive = _denser_set(g, alive, Fraction(num, den))
         if not found:
             return num, den, mask
         mask = found
@@ -196,42 +194,34 @@ def _component_m1_flow(g: Graph) -> tuple[int, int, int]:
         den = mask.bit_count() - 1
 
 
-@dataclass(slots=True)
-class _Core:
-    """The vertices of a component that may still lie in a smallest densest set."""
+def _denser_set(graph: Graph, alive: int, g: Fraction) -> tuple[int, int]:
+    """Exact test: the mask of a set S with e(S) - g(|S|-1) > 0, or 0 if none,
+    and the core left for the next guess.
 
-    graph: Graph
-    alive: int
-
-
-def _denser_set(core: _Core, g: Fraction) -> int:
-    """Exact test: the mask of a set S with e(S) - g(|S|-1) > 0, or 0 if none.
-
-    ``core.alive`` holds every smallest set attaining m1 while g < m1
+    The core ``alive`` holds every smallest set attaining m1 while g < m1
     (module docstring), and this shrinks it.  Each round peels the core
     at g; an empty core means there is no such S, and a core of at most
     EXHAUSTIVE_LIMIT vertices is scanned whole, which settles m1, so the
-    core is emptied after it.  Otherwise a cut anchored at a core vertex
-    of highest degree inside the core (the smallest such) either finds S
-    or shows that the anchor lies in no smallest densest set, and the
-    anchor leaves the core.
+    core left is empty.  Otherwise a cut anchored at a core vertex of
+    highest degree inside the core (the smallest such) either finds S or
+    shows that the anchor lies in no smallest densest set, and the anchor
+    leaves the core.
     """
     a, b = g.numerator, g.denominator
-    graph = core.graph
     while True:
-        alive = core.alive = _peel(graph.adj, core.alive, a, b)
+        alive = _peel(graph.adj, alive, a, b)
         if alive.bit_count() <= EXHAUSTIVE_LIMIT:
-            core.alive = 0
             if not alive:
-                return 0
+                return 0, 0
             vs = bits(alive)
             num, den, mask = _component_m1_exhaustive(graph.induced(vs))
-            return sum(1 << vs[i] for i in bits(mask)) if num * b > a * den else 0
+            found = sum(1 << vs[i] for i in bits(mask)) if num * b > a * den else 0
+            return found, 0
         anchor = max(bits(alive), key=lambda v: (graph.adj[v] & alive).bit_count())
         found = _anchored_cut(graph.adj, alive, anchor, a, b)
         if found:
-            return found
-        core.alive = alive ^ 1 << anchor
+            return found, alive
+        alive ^= 1 << anchor
 
 
 def _peel(adj: Sequence[int], alive: int, a: int, b: int) -> int:
@@ -258,17 +248,20 @@ def _anchored_cut(adj: Sequence[int], alive: int, anchor: int, a: int, b: int) -
     vs = bits(alive)
     k = len(vs)
     local = {v: i for i, v in enumerate(vs)}
-    pairs = [(i, local[u]) for i, v in enumerate(vs)
-             for u in bits(adj[v] & alive >> v + 1 << v + 1)]
-    m = len(pairs)
+    ends = [2 + j for i, v in enumerate(vs)
+            for u in bits(adj[v] & alive >> v + 1 << v + 1) for j in (i, local[u])]
+    m = len(ends) // 2
     inf = b * m + a * k + 1
-    enodes = np.arange(2 + k, 2 + k + m)
-    ends = np.array(pairs, dtype=np.int64).reshape(m, 2) + 2
-    rows = np.concatenate([np.zeros(m, np.int64), enodes, enodes, np.arange(2, 2 + k)])
-    cols = np.concatenate([enodes, ends[:, 0], ends[:, 1], np.ones(k, np.int64)])
-    caps = np.concatenate([np.full(m, b), np.full(2 * m, inf), np.full(k, a)])
-    caps[3 * m + local[anchor]] = 0
-    net = csr_array((caps.astype(np.int32), (rows, cols)), shape=(2 + k + m, 2 + k + m))
+    # rows in node order: the source's arcs to the edge nodes, none from the
+    # sink, one sink arc per vertex, and each edge node's arcs to its two ends
+    # (already ascending, since u > v)
+    indptr = np.concatenate([[0, m], np.arange(m, m + k + 1),
+                             np.arange(m + k + 2, 3 * m + k + 1, 2)]).astype(np.int32)
+    indices = np.concatenate([np.arange(2 + k, 2 + k + m), np.ones(k, np.int64), ends])
+    caps = np.concatenate([np.full(m, b), np.full(k, a), np.full(2 * m, inf)])
+    caps[m + local[anchor]] = 0
+    net = csr_array((caps.astype(np.int32), indices.astype(np.int32), indptr),
+                    shape=(2 + k + m, 2 + k + m))
     res = maximum_flow(net, 0, 1)
     if res.flow_value == b * m:
         return 0

@@ -99,8 +99,7 @@ def equitable_coloring(h: Graph, k: int) -> EquitablePartition:
             py_rng(attempt).shuffle(order)
         classes = _greedy_balanced_coloring(h, k, order)
         if _rebalance(h, classes):
-            parts = tuple(tuple(sorted(c)) for c in classes)
-            ep = EquitablePartition(parts)
+            ep = EquitablePartition(tuple(tuple(bits(c)) for c in classes))
             ep.validate(h)
             return ep
     raise InternalInvariantError(
@@ -108,43 +107,41 @@ def equitable_coloring(h: Graph, k: int) -> EquitablePartition:
     )
 
 
-def _greedy_balanced_coloring(h: Graph, k: int, order: Sequence[int]) -> list[set[int]]:
-    classes: list[set[int]] = [set() for _ in range(k)]
-    masks = [0] * k
+def _greedy_balanced_coloring(h: Graph, k: int, order: Sequence[int]) -> list[int]:
+    """Each vertex in ``order`` joins the smallest class with no neighbour of it
+    (the lowest such); a class is the bitmask of its vertices."""
+    classes = [0] * k
     for v in order:
         best = None
         for c in range(k):
-            if h.adj[v] & masks[c]:
+            if h.adj[v] & classes[c]:
                 continue
-            if best is None or len(classes[c]) < len(classes[best]):
+            if best is None or classes[c].bit_count() < classes[best].bit_count():
                 best = c
-        classes[best].add(v)
-        masks[best] |= 1 << v
+        classes[best] |= 1 << v
     return classes
 
 
-def _rebalance(h: Graph, classes: list[set[int]]) -> bool:
-    """Equalize class sizes via augmenting move paths; True on success."""
+def _rebalance(h: Graph, classes: list[int]) -> bool:
+    """Equalize the sizes of the class bitmasks, in place, via augmenting move
+    paths; True on success."""
     k = len(classes)
-    masks = [mask_of(c) for c in classes]
     while True:
-        sizes = [len(c) for c in classes]
+        sizes = [c.bit_count() for c in classes]
         hi, lo = max(sizes), min(sizes)
         if hi - lo <= 1:
             return True
         sources = [c for c in range(k) if sizes[c] == hi]
         targets = {c for c in range(k) if sizes[c] <= hi - 2}
-        path = _move_path(h, classes, masks, sources, targets)
+        path = _move_path(h, classes, sources, targets)
         if path is None:
             return False
         for cls_from, cls_to, v in path:
-            classes[cls_from].discard(v)
-            masks[cls_from] &= ~(1 << v)
-            classes[cls_to].add(v)
-            masks[cls_to] |= 1 << v
+            classes[cls_from] ^= 1 << v
+            classes[cls_to] |= 1 << v
 
 
-def _move_path(h, classes, masks, sources, targets):
+def _move_path(h, classes, sources, targets):
     """BFS in the digraph of feasible vertex moves between classes.
 
     An arc c -> c' carries a vertex of class c with no neighbour in
@@ -165,8 +162,8 @@ def _move_path(h, classes, masks, sources, targets):
                 if c2 == c or c2 in visited:
                     continue
                 witness = None
-                for v in sorted(classes[c]):
-                    if not (h.adj[v] & masks[c2]):
+                for v in bits(classes[c]):
+                    if not (h.adj[v] & classes[c2]):
                         witness = v
                         break
                 if witness is None:

@@ -542,21 +542,28 @@ def unbalanced_multipartite_host(n: int, delta: int) -> Graph:
 
 
 def random_min_degree_host(n: int, min_degree: int, seed: int) -> Graph:
-    """Near-extremal host: delete random edges from K_n while min degree holds."""
+    """Near-extremal host: delete random edges from K_n while min degree holds.
+
+    The pairs u < v, in ascending order, are shuffled as the codes u*n + v;
+    ``random.shuffle`` swaps by length alone, so a host is the same as
+    when the shuffled list held the pairs themselves.
+    """
     if not 0 <= min_degree <= n - 1:
         raise InvalidArgumentError(f"min degree {min_degree} outside [0, {n - 1}] on {n} vertices")
-    rng = py_rng(seed)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    rng.shuffle(edges)
+    codes = np.flatnonzero(~np.tri(n, dtype=bool)).tolist()
+    py_rng(seed).shuffle(codes)
     deg = [n - 1] * n
-    kept = []
-    for u, v in edges:
+    dropped = []
+    for code in codes:
+        u, v = divmod(code, n)
         if deg[u] > min_degree and deg[v] > min_degree:
             deg[u] -= 1
             deg[v] -= 1
-        else:
-            kept.append((u, v))
-    return Graph(n, kept)
+            dropped.append(code)
+    mat = ~np.eye(n, dtype=bool)
+    u, v = np.divmod(np.array(dropped, dtype=np.intp), n)
+    mat[u, v] = mat[v, u] = False
+    return Graph(n, mat)
 
 
 def perfect_matching_pattern(n: int) -> Graph:

@@ -254,8 +254,9 @@ def test_flow_path_steps_to_the_densest_core(monkeypatch, g, value, found):
     real, seen = density._denser_set, []
 
     def recording(*args):
-        seen.append(real(*args))
-        return seen[-1]
+        found, alive = real(*args)
+        seen.append(found)
+        return found, alive
 
     monkeypatch.setattr(density, "_denser_set", recording)
     num, den, mask = _component_m1_flow(g)

@@ -1,6 +1,7 @@
 """Every import, every UPPER_CASE module constant and every module-level _private
 function or class in the library is used (no linter runs on this tree), and
-importing the library loads neither scipy.stats nor networkx."""
+importing the library loads neither scipy.stats nor networkx; the acceptance gate
+runs no pipeline trial loop of its own."""
 
 import ast
 import os
@@ -119,3 +120,22 @@ def test_import_loads_no_scipy_stats_or_networkx():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == []
+
+
+def called_names(source: str) -> set[str]:
+    """The name of every function called in ``source``, bare or as an attribute."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_called_names_finds_bare_and_attribute_calls():
+    source = "import m\nfrom m import f\nf(1)\nm.g(2)\nh = m.k\nh(3)(4)\n"
+    assert called_names(source) == {"f", "g", "h"}
+
+
+def test_acceptance_gate_runs_no_pipeline_trials_of_its_own():
+    # pipeline statistics come from the library's estimators, which own the
+    # one seed XOR i trial stream
+    source = (Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8")
+    assert "run_pipeline_once" not in called_names(source)

@@ -46,7 +46,7 @@ from spanembed.robustness import (
     threshold_scan,
     unbalanced_multipartite_host,
 )
-from spanembed.seeds import child_seed
+from spanembed.seeds import child_seed, py_rng
 
 
 def permutation_oracle(gp, h):
@@ -133,6 +133,29 @@ def test_dirac_overlap_host_equals_the_edge_list_construction():
         second = list(range(a - 2, n))
         edges += [(u, v) for i, u in enumerate(second) for v in second[i + 1:]]
         assert dirac_overlap_host(n) == Graph(n, edges), n
+
+
+def _min_degree_host_by_pair_list(n, min_degree, seed):
+    """The construction that shuffles the (u, v) pairs themselves."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    py_rng(seed).shuffle(edges)
+    deg = [n - 1] * n
+    kept = []
+    for u, v in edges:
+        if deg[u] > min_degree and deg[v] > min_degree:
+            deg[u] -= 1
+            deg[v] -= 1
+        else:
+            kept.append((u, v))
+    return Graph(n, kept)
+
+
+def test_min_degree_host_equals_the_pair_list_construction():
+    for n in [*range(1, 41), 57, 100]:
+        for k in sorted({0, n // 2, 3 * n // 4, n - 1}):
+            for seed in (0, 7, 2**40 + 3):
+                assert (random_min_degree_host(n, k, seed)
+                        == _min_degree_host_by_pair_list(n, k, seed)), (n, k, seed)
 
 
 def test_contains_two_disjoint_edges_in_c4():

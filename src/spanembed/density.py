@@ -43,6 +43,10 @@ VM, Python 3.11.7, numpy 2.4.6, scipy 1.17.1):
 Guesses are attained ratios e/(v-1), so every capacity is at most
 2nm + 1 for n vertices and m edges; scipy's capacities are int32 and
 wrap silently, so larger components raise UnsupportedSizeError.
+
+scipy is imported inside ``_anchored_cut``, so it loads with the first
+min cut: a graph whose components, or their peeled cores, all fit the scan
+never loads it.
 """
 
 from __future__ import annotations
@@ -53,8 +57,6 @@ from functools import cache
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .errors import InternalInvariantError, InvalidArgumentError, UnsupportedSizeError
 from .graphs import Graph, bits
@@ -245,6 +247,9 @@ def _anchored_cut(adj: Sequence[int], alive: int, anchor: int, a: int, b: int) -
     The returned S is the source side of the minimum cut: the nodes
     reachable from the source over arcs with residual capacity left.
     """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+
     vs = bits(alive)
     k = len(vs)
     local = {v: i for i, v in enumerate(vs)}

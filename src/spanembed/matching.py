@@ -18,6 +18,10 @@ which leaves those checks nothing to catch.
 The general-graph matcher is Edmonds' cardinality blossom algorithm
 ("Paths, trees, and flowers", 1965) on neighbour bitmasks, grown from a
 warm-start matching; containment of matching patterns uses it.
+
+scipy is imported inside ``bipartite_matching``, so it loads with the
+first bipartite matching: containment scans use only the blossom matcher
+and never pay for it.
 """
 
 from __future__ import annotations
@@ -26,14 +30,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import InternalInvariantError, InvalidArgumentError, UnsupportedSizeError
 from .graphs import bits
 
 UNMATCHED = -1
-_SKELETONS: dict[tuple[int, int], csr_array] = {}    # one CSR matrix per shape, refilled per call
+_SKELETONS: dict[tuple[int, int], object] = {}   # one scipy csr_array per shape, refilled per call
 
 
 def bipartite_matching(z: np.ndarray) -> np.ndarray:
@@ -49,11 +51,14 @@ def bipartite_matching(z: np.ndarray) -> np.ndarray:
     its sorted rows.  The skeleton is shared, so concurrent calls from
     threads are not supported.
     """
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     if z.size > np.iinfo(np.int32).max:
         raise UnsupportedSizeError(f"a {z.shape[0]} x {z.shape[1]} matrix overflows int32 indices")
     rows, cols = np.nonzero(z)
     graph = _SKELETONS.get(z.shape)
     if graph is None:
+        from scipy.sparse import csr_array
         graph = _SKELETONS[z.shape] = csr_array(z.shape, dtype=bool)
     graph.indices = cols.astype(np.int32)
     graph.indptr = rows.searchsorted(np.arange(z.shape[0] + 1)).astype(np.int32)

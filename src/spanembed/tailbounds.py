@@ -4,13 +4,13 @@ The exact binomial (Clopper–Pearson) interval's bounds are beta
 quantiles, the inverse of the regularised incomplete beta function taken
 from ``scipy.special.betaincinv``.  They equal ``scipy.stats.beta.ppf``
 at the same quantiles bit for bit, without loading ``scipy.stats``.
+``scipy.special`` is imported inside ``clopper_pearson``, so only a
+bound with at least one trial loads it; the Wilson interval needs none.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy.special import betaincinv
 
 from .errors import InvalidArgumentError
 
@@ -31,12 +31,19 @@ def hypergeo_chernoff_bound(eps: float, t: float) -> float:
     return 2.0 * math.exp(-eps * eps * t / 3.0)
 
 
+def _check_counts(hits: int, trials: int) -> None:
+    """Refuse counts that are not 0 <= hits <= trials."""
+    if not 0 <= hits <= trials:
+        raise InvalidArgumentError(f"bad counts hits={hits} trials={trials}")
+
+
 def clopper_pearson(hits: int, trials: int) -> tuple[float, float]:
     """Exact binomial interval at level CONFIDENCE for hits out of trials."""
-    if trials < 0 or not 0 <= hits <= max(trials, 0):
-        raise InvalidArgumentError(f"bad counts hits={hits} trials={trials}")
+    _check_counts(hits, trials)
     if trials == 0:
         return 0.0, 1.0
+    from scipy.special import betaincinv
+
     alpha = 1.0 - CONFIDENCE
     lo = 0.0 if hits == 0 else float(betaincinv(hits, trials - hits + 1, alpha / 2))
     hi = 1.0 if hits == trials else float(betaincinv(hits + 1, trials - hits, 1 - alpha / 2))
@@ -45,15 +52,16 @@ def clopper_pearson(hits: int, trials: int) -> tuple[float, float]:
 
 def confidence_radius(hits: int, trials: int) -> float:
     """Worst-side distance from the point estimate to the exact binomial interval."""
+    lo, hi = clopper_pearson(hits, trials)
     if trials == 0:
         return 1.0
     p = hits / trials
-    lo, hi = clopper_pearson(hits, trials)
     return max(p - lo, hi - p)
 
 
 def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion at z = WILSON_Z."""
+    _check_counts(hits, trials)
     if trials == 0:
         return 0.0, 1.0
     z = WILSON_Z

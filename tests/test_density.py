@@ -382,9 +382,10 @@ def test_peeled_core_of_two_cliques_falls_apart():
 
 
 def _count_flows(monkeypatch):
+    # each anchored cut makes exactly one maximum_flow call
     calls = []
-    real = density.maximum_flow
-    monkeypatch.setattr(density, "maximum_flow", lambda *args: calls.append(1) or real(*args))
+    real = density._anchored_cut
+    monkeypatch.setattr(density, "_anchored_cut", lambda *args: calls.append(1) or real(*args))
     return calls
 
 

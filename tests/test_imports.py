@@ -1,9 +1,11 @@
 """Every import, every UPPER_CASE module constant and every module-level _private
 function or class in the library is used (no linter runs on this tree), and
-importing the library loads neither scipy.stats nor networkx; the acceptance gate
+importing the library loads neither scipy.stats nor networkx, and scipy loads only
+with a bipartite matching, a min cut or an exact binomial bound; the acceptance gate
 runs no pipeline trial loop of its own."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -11,6 +13,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import format_fb_instance
+from spanembed.graphs import complete_graph, cycle_graph, format_graph
+from spanembed.spread import FBInstance, FBParams
 
 SRC = Path(__file__).parent.parent / "src"
 MODULES = sorted(p for p in (SRC / "spanembed").glob("*.py")
@@ -120,6 +126,58 @@ def test_import_loads_no_scipy_stats_or_networkx():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == []
+
+
+# Runs the commands of argv lists sys.argv[1] in one process, then the command
+# sys.argv[2], and prints the scipy modules loaded after each stage.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import spanembed, spanembed.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+
+report = {'import': scipy_modules(), 'codes': {}}
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        report['codes'][argv[0]] = spanembed.cli.main(argv)
+    report['no-match'] = scipy_modules()
+    argv = json.loads(sys.argv[2])
+    report['codes'][argv[0]] = spanembed.cli.main(argv)
+report['match'] = scipy_modules()
+print(json.dumps(report))
+"""
+
+
+def test_scipy_loads_only_with_a_bipartite_matching(tmp_path):
+    # scipy.sparse, scipy.sparse.csgraph and scipy.special cost about 0.3 s and
+    # 36 MB per process; colourings, switchings, scans and m1 on components of at
+    # most EXHAUSTIVE_LIMIT vertices use none of them
+    def write(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    c16 = write("c16.txt", format_graph(cycle_graph(16)))
+    k6 = write("k6.txt", format_graph(complete_graph(6)))
+    c6 = write("c6.txt", format_graph(cycle_graph(6)))
+    scan = write("scan.cfg", "host dirac-overlap\nn 16\npattern matching\n"
+                             "pgrid 0.2,1.0\ntrials 5\nseed 3\n")
+    no_match = [["equitable", "--graph", c16, "3"], ["clique-factor", "--graph", k6, "3"],
+                ["embed-switch", k6, c6], ["m1", "--graph", c16], ["scan", "--config", scan],
+                ["scan-thm91", "--n", "8", "--trials", "2"]]
+    inst = FBInstance(5, [(a, b) for a in range(5) for b in range(5)],
+                      FBParams(d=0.8, b=1, rho=0.1, mu=0.25, delta=1))
+    match = ["spread-matching", "--instance", write("inst.txt", format_fb_instance(inst)),
+             "--trials", "20"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(no_match),
+                          json.dumps(match)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    report = json.loads(out)
+    assert report["codes"] == {argv[0]: 0 for argv in no_match + [match]}
+    assert report["import"] == []
+    assert report["no-match"] == []
+    assert {"scipy.sparse.csgraph", "scipy.special"} <= set(report["match"])
 
 
 def called_names(source: str) -> set[str]:

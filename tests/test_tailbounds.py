@@ -44,6 +44,13 @@ def test_wilson_interval_basics():
     assert hi == pytest.approx(1.0) and lo > 0.9
 
 
+@pytest.mark.parametrize("interval", [clopper_pearson, confidence_radius, wilson_interval])
+@pytest.mark.parametrize("hits, trials", [(5, 3), (2, -1), (5, 0), (-1, 4), (0, -1)])
+def test_bad_counts_are_refused(interval, hits, trials):
+    with pytest.raises(InvalidArgumentError, match="bad counts"):
+        interval(hits, trials)
+
+
 def _beta_ppf_interval(hits, trials):
     """The Clopper–Pearson bounds from ``scipy.stats.beta.ppf``, with the endpoint rules."""
     from scipy.stats import beta   # the oracle only: the library never loads scipy.stats
